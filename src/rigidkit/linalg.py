@@ -1,26 +1,44 @@
-"""Exact Gaussian elimination over the Novikov scalar field.
+"""Exact Gauss-Jordan elimination over the Novikov field and the rationals.
 
-Matrices are dense lists of rows of NovikovScalar.  Pivots are chosen by
-maximal valuation (ties broken by lowest row index) so eliminations are
-deterministic and mirror the numerically stable choice.
+Matrices are dense lists of rows, reduced by one kernel, :func:`_echelon`.
+The fields differ only in the zero test and the pivot rule.  Over the
+Novikov field (``NovikovScalar`` rows; the public functions here) the pivot
+of a column is its entry of maximal valuation, ties to the lowest row, which
+mirrors the numerically stable choice.  Over the rationals (``Fraction``
+rows; the ``mat_*``, ``solve_linear`` and ``nullspace_basis`` functions of
+:mod:`rational_geometry`) it is the first nonzero entry.  Every returned
+value is unique in exact arithmetic, so none depends on the pivot rule.
 """
 
 from __future__ import annotations
 
-from .novikov import NEG_INF, NovikovScalar
+import operator
+from fractions import Fraction
+from typing import Callable, NamedTuple
+
+from .novikov import F2, QMODEL, NovikovScalar
+
+
+class _Field(NamedTuple):
+    zero: object
+    one: object
+    is_zero: Callable
+    pivot_key: Callable | None  # None: the first nonzero entry is the pivot
+
+
+_NOVIKOV = {f: _Field(NovikovScalar.zero(f), NovikovScalar.one(f),
+                      NovikovScalar.is_zero, NovikovScalar.valuation)
+            for f in (F2, QMODEL)}
+_RATIONALS = _Field(Fraction(0), Fraction(1), operator.not_, None)
 
 
 def zeros(field, m, n):
-    z = NovikovScalar.zero(field)
-    return [[z for _ in range(n)] for _ in range(m)]
+    return [[_NOVIKOV[field].zero] * n for _ in range(m)]
 
 
 def identity(field, n):
-    a = zeros(field, n, n)
-    one = NovikovScalar.one(field)
-    for i in range(n):
-        a[i][i] = one
-    return a
+    fld = _NOVIKOV[field]
+    return [[fld.one if i == j else fld.zero for j in range(n)] for i in range(n)]
 
 
 def mat_vec(a, v):
@@ -54,51 +72,92 @@ def mat_mul(a, b):
     return out
 
 
-def _pivot_row(col_entries, used):
-    best, best_val = None, None
-    for i, x in col_entries:
-        if i in used or x.is_zero():
-            continue
-        v = x.valuation()
-        if best is None or v > best_val:
-            best, best_val = i, v
-    return best
+def _echelon(fld: _Field, rows, ncols):
+    """Gauss-Jordan elimination of ``rows`` in place on its first ``ncols`` columns.
 
-
-def _row_echelon(rows, ncols):
-    """In-place elimination; returns (pivot list [(row, col)], row order)."""
-    m = len(rows)
-    used = set()
+    Column by column, the pivot is the first nonzero entry among the unused
+    rows, or the one maximizing ``fld.pivot_key`` (ties to the lowest row);
+    its column is cleared in every other row, augmented columns included.
+    Rows are never swapped, and cleared entries are left unwritten: they are
+    zero and never read.  Returns the pivots ``[(row, col)]`` in column order.
+    """
+    is_zero, key = fld.is_zero, fld.pivot_key
+    free = list(range(len(rows)))
     pivots = []
     for j in range(ncols):
-        pr = _pivot_row([(i, rows[i][j]) for i in range(m)], used)
-        if pr is None:
+        candidates = [i for i in free if not is_zero(rows[i][j])]
+        if not candidates:
             continue
-        used.add(pr)
-        pivots.append((pr, j))
-        piv = rows[pr][j]
-        inv = piv.inverse()
-        for i in range(m):
-            if i == pr or i in used and i != pr:
-                pass
-            if i == pr:
-                continue
-            x = rows[i][j]
-            if x.is_zero():
-                continue
-            f = x * inv
-            ri, rp = rows[i], rows[pr]
-            for t in range(j, len(ri)):
-                if not rp[t].is_zero():
-                    ri[t] = ri[t] - f * rp[t]
+        if key is None:
+            r = candidates[0]
+        else:
+            r = max(candidates, key=lambda i: key(rows[i][j]))
+        free.remove(r)
+        pivots.append((r, j))
+        prow = rows[r]
+        piv = prow[j]
+        support = [t for t in range(j + 1, len(prow)) if not is_zero(prow[t])]
+        for i, row in enumerate(rows):
+            if i != r and not is_zero(row[j]):
+                f = row[j] / piv
+                for t in support:
+                    row[t] = row[t] - f * prow[t]
     return pivots
+
+
+def _solve(fld: _Field, a, b):
+    """One solution X (free variables 0) of a X = b for an m x p matrix b, or None."""
+    n = len(a[0])
+    rows = [list(r) + list(b[i]) for i, r in enumerate(a)]
+    pivots = _echelon(fld, rows, n)
+    pivot_rows = {r for r, _ in pivots}
+    for i, row in enumerate(rows):
+        if i not in pivot_rows and not all(map(fld.is_zero, row[n:])):
+            return None
+    x = [[fld.zero] * len(b[0]) for _ in range(n)]
+    for r, c in pivots:
+        x[c] = [y / rows[r][c] for y in rows[r][n:]]
+    return x
+
+
+def _nullspace(fld: _Field, a):
+    n = len(a[0])
+    rows = [list(r) for r in a]
+    pivots = _echelon(fld, rows, n)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for fc in range(n):
+        if fc in pivot_cols:
+            continue
+        v = [fld.zero] * n
+        v[fc] = fld.one
+        for r, c in pivots:
+            # pivot row r reads rows[r][c] * x_c + rows[r][fc] * x_fc + ... = 0
+            if not fld.is_zero(rows[r][fc]):
+                v[c] = -(rows[r][fc] / rows[r][c])
+        basis.append(v)
+    return basis
+
+
+def _det(fld: _Field, a):
+    n = len(a)
+    rows = [list(r) for r in a]
+    pivots = _echelon(fld, rows, n)
+    if len(pivots) < n:
+        return fld.zero
+    d = fld.one
+    for r, c in pivots:
+        d = d * rows[r][c]
+    # the pivot of column c sits in row order[c]: det is the product times sign(order)
+    order = [r for r, _ in pivots]
+    inversions = sum(p > q for i, p in enumerate(order) for q in order[i + 1:])
+    return -d if inversions % 2 else d
 
 
 def rank(a) -> int:
     if not a or not a[0]:
         return 0
-    rows = [list(r) for r in a]
-    return len(_row_echelon(rows, len(a[0])))
+    return len(_echelon(_NOVIKOV[a[0][0].field], [list(r) for r in a], len(a[0])))
 
 
 def solve(a, b):
@@ -109,97 +168,24 @@ def solve(a, b):
     if not a:
         return [] if all(x.is_zero() for x in b) else None
     field = a[0][0].field if a[0] else b[0].field
-    m, n = len(a), len(a[0])
-    rows = [list(r) + [b[i]] for i, r in enumerate(a)]
-    pivots = _row_echelon(rows, n)
-    piv_rows = {r for r, _ in pivots}
-    for i in range(m):
-        if i not in piv_rows and not rows[i][n].is_zero():
-            return None
-    x = [NovikovScalar.zero(field) for _ in range(n)]
-    for r, c in pivots:
-        x[c] = rows[r][n] / rows[r][c]
-    return x
+    x = _solve(_NOVIKOV[field], a, [[y] for y in b])
+    return None if x is None else [y for y, in x]
 
 
 def nullspace(a):
     """Basis of the kernel of a (list of length-n vectors)."""
     if not a or not a[0]:
         return []
-    field = a[0][0].field
-    m, n = len(a), len(a[0])
-    rows = [list(r) for r in a]
-    pivots = _row_echelon(rows, n)
-    piv_cols = {c: r for r, c in pivots}
-    free_cols = [j for j in range(n) if j not in piv_cols]
-    basis = []
-    one = NovikovScalar.one(field)
-    for fc in free_cols:
-        v = [NovikovScalar.zero(field) for _ in range(n)]
-        v[fc] = one
-        for c, r in piv_cols.items():
-            # pivot row: rows[r][c] * x_c + ... + rows[r][fc] * x_fc + ... = 0
-            coeff = rows[r][fc]
-            if not coeff.is_zero():
-                v[c] = -(coeff / rows[r][c])
-        basis.append(v)
-    return basis
+    return _nullspace(_NOVIKOV[a[0][0].field], a)
 
 
 def det(a) -> NovikovScalar:
-    n = len(a)
-    if n == 0:
+    if not a:
         raise ValueError("empty matrix")
-    field = a[0][0].field
-    rows = [list(r) for r in a]
-    sign_flip = 0
-    d = NovikovScalar.one(field)
-    used = []
-    for j in range(n):
-        pr = _pivot_row([(i, rows[i][j]) for i in range(n)], set(used))
-        if pr is None:
-            return NovikovScalar.zero(field)
-        used.append(pr)
-        piv = rows[pr][j]
-        d = d * piv
-        inv = piv.inverse()
-        for i in range(n):
-            if i in used:
-                continue
-            x = rows[i][j]
-            if x.is_zero():
-                continue
-            f = x * inv
-            for t in range(j, n):
-                if not rows[pr][t].is_zero():
-                    rows[i][t] = rows[i][t] - f * rows[pr][t]
-    # row order permutation sign
-    perm = list(used)
-    seen = [False] * n
-    for i in range(n):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        sign_flip += clen - 1
-    if sign_flip % 2:
-        d = -d
-    return d
+    return _det(_NOVIKOV[a[0][0].field], a)
 
 
 def inverse(a):
-    n = len(a)
+    """The inverse of the square matrix a, or None if a is singular."""
     field = a[0][0].field
-    rows = [list(r) + list(identity(field, n)[i]) for i, r in enumerate(a)]
-    pivots = _row_echelon(rows, n)
-    if len(pivots) < n:
-        return None
-    out = zeros(field, n, n)
-    for r, c in pivots:
-        inv_piv = rows[r][c].inverse()
-        for j in range(n):
-            out[c][j] = rows[r][n + j] * inv_piv
-    return out
+    return _solve(_NOVIKOV[field], a, identity(field, len(a)))

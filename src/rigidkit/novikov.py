@@ -213,46 +213,34 @@ def _poly_gcd_reduce(field, num, den):
             v.pop()
         return v
 
-    def polydiv(a, b):
-        # remainder of a by b (b nonzero), dense lists
-        a = list(a)
-        db, lb = len(b) - 1, b[-1]
-        inv_lb = _cinv(field, lb)
-        while len(a) - 1 >= db and a:
-            f = _cmul(field, a[-1], inv_lb)
-            shift = len(a) - 1 - db
+    def poly_divmod(a, b):
+        # quotient and remainder of a by b (b nonzero), dense lists
+        r = list(a)
+        db = len(b) - 1
+        inv_lb = _cinv(field, b[-1])
+        q = [_coeff(field, 0)] * (len(a) - db)
+        while len(r) - 1 >= db and r:
+            f = _cmul(field, r[-1], inv_lb)
+            shift = len(r) - 1 - db
+            q[shift] = f
             for i, bc in enumerate(b):
-                a[shift + i] = _cadd(field, a[shift + i], _cneg(field, _cmul(field, f, bc)))
-            a = trim(a)
-        return a
+                r[shift + i] = _cadd(field, r[shift + i], _cneg(field, _cmul(field, f, bc)))
+            r = trim(r)
+        return q, r
 
     a = trim(to_dense(num))
     b = trim(to_dense(den))
     while b:
-        a, b = b, polydiv(a, b)
+        a, b = b, poly_divmod(a, b)[1]
     g = a
     if len(g) <= 1:
         return num, den
 
-    def polquo(a, b):
-        a = list(a)
-        db, lb = len(b) - 1, b[-1]
-        inv_lb = _cinv(field, lb)
-        q = [0 if field == F2 else Fraction(0)] * (len(a) - db)
-        while len(a) - 1 >= db and a:
-            f = _cmul(field, a[-1], inv_lb)
-            shift = len(a) - 1 - db
-            q[shift] = f
-            for i, bc in enumerate(b):
-                a[shift + i] = _cadd(field, a[shift + i], _cneg(field, _cmul(field, f, bc)))
-            a = trim(a)
-        return q
-
     def to_sparse(v, base):
         return {base + Fraction(i, delta): c for i, c in enumerate(v) if c != 0}
 
-    qn = polquo(trim(to_dense(num)), g)
-    qd = polquo(trim(to_dense(den)), g)
+    qn = poly_divmod(trim(to_dense(num)), g)[0]
+    qd = poly_divmod(trim(to_dense(den)), g)[0]
     # num = qn * g * s^lo-ish; the common monomial factor cancels in num/den
     return to_sparse(qn, Fraction(0)), to_sparse(qd, Fraction(0))
 
@@ -435,14 +423,14 @@ class NovikovScalar:
         for _ in range(64):
             if len(out) >= num_terms:
                 break
-            exact = self._expansion_exact(floor)
+            exact = self._expansion_exact()
             if exact:
                 break
             floor -= num_terms * step * 4
             out = self.expand_to(floor)
         return dict(sorted(out.items(), reverse=True)[:num_terms])
 
-    def _expansion_exact(self, floor) -> bool:
+    def _expansion_exact(self) -> bool:
         # remainder of num by den is zero => the series terminates
         f = self.field
         n, d = _poly_gcd_reduce(f, self.num, self.den)
@@ -459,7 +447,6 @@ class NovikovScalar:
         inv = _cinv(f, c_d)
         # den = c*s^e*(1 - r),  r strictly lower order
         r = {e - e_d: _cneg(f, _cmul(f, c, inv)) for e, c in self.den.items() if e != e_d}
-        r = _poly_neg(f, _poly_neg(f, r))  # no-op; keep dict fresh
         base = _poly_scale(f, self.num, inv, -e_d)
         cutoff = m
         out = {}

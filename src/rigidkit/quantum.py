@@ -9,7 +9,7 @@ idempotent, semisimplicity and divisibility analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg

@@ -6,6 +6,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from .linalg import _RATIONALS, _det, _echelon, _nullspace, _solve
+
 
 def frac_vec(v):
     return tuple(Fraction(x) for x in v)
@@ -29,108 +31,28 @@ def dot(a, b):
 
 
 def mat_rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        col += 1
-    return rank
+    rows = [list(map(Fraction, r)) for r in rows]
+    return len(_echelon(_RATIONALS, rows, len(rows[0]))) if rows else 0
 
 
 def mat_det(rows) -> Fraction:
-    rows = [list(map(Fraction, r)) for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for j in range(n):
-        piv = next((i for i in range(j, n) if rows[i][j] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != j:
-            rows[j], rows[piv] = rows[piv], rows[j]
-            det = -det
-        det *= rows[j][j]
-        for i in range(j + 1, n):
-            if rows[i][j] != 0:
-                f = rows[i][j] / rows[j][j]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[j])]
-    return det
+    return _det(_RATIONALS, [list(map(Fraction, r)) for r in rows])
 
 
 def solve_linear(rows, rhs):
     """One rational solution of rows * x = rhs, or None."""
     if not rows:
         return [] if all(x == 0 for x in rhs) else None
-    m, n = len(rows), len(rows[0])
-    aug = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pr = aug[r]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c] / pr[c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], pr)]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r_, c_ in pivots:
-        x[c_] = aug[r_][n] / aug[r_][c_]
-    return x
+    rows = [list(map(Fraction, r)) for r in rows]
+    x = _solve(_RATIONALS, rows, [[Fraction(y)] for y in rhs])
+    return None if x is None else [y for y, in x]
 
 
 def nullspace_basis(rows):
     """Basis of the rational kernel of the matrix."""
     if not rows:
         return []
-    m, n = len(rows), len(rows[0])
-    aug = [list(map(Fraction, r)) for r in rows]
-    piv_of_col = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pr = aug[r]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c] / pr[c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], pr)]
-        piv_of_col[c] = r
-        r += 1
-    basis = []
-    free = [c for c in range(n) if c not in piv_of_col]
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for c, r_ in piv_of_col.items():
-            if aug[r_][fc] != 0:
-                v[c] = -aug[r_][fc] / aug[r_][c]
-        basis.append(tuple(v))
-    return basis
+    return [tuple(v) for v in _nullspace(_RATIONALS, [list(map(Fraction, r)) for r in rows])]
 
 
 def primitive_vector(v):
@@ -153,9 +75,9 @@ def _hyperplane_through(points):
     if they do not span one."""
     base = points[0]
     rows = [vec_sub(p, base) for p in points[1:]]
-    kern = nullspace_basis(rows) if rows else []
+    kern = nullspace_basis(rows)
     # kernel of the (k-1) x k difference matrix: need exactly 1 dimension
-    if len(points) == 1 or mat_rank(rows) != len(base) - 1:
+    if len(kern) != 1:
         return None
     normal = kern[0]
     return tuple(normal), dot(normal, base)
@@ -301,7 +223,8 @@ def separating_functional(points, dim):
     the inward normals of the facets through 0 is strictly positive on
     every input point.
     """
-    pts = [frac_vec(p) for p in points]
+    # convex_hull_facets rejects repeated points, so merge them first
+    pts = list(dict.fromkeys(frac_vec(p) for p in points))
     if not pts:
         return None
     if any(all(x == 0 for x in p) for p in pts):
@@ -339,10 +262,7 @@ def separating_functional(points, dim):
 
     cloud = pts + [tuple(Fraction(0) for _ in range(dim))]
     zero_idx = len(pts)
-    try:
-        facets = convex_hull_facets(cloud, dim)
-    except HullError:
-        return None
+    facets = convex_hull_facets(cloud, dim)
     active = [(n, c, mem) for (n, c, mem) in facets if zero_idx in mem]
     if not active:
         return None  # origin interior

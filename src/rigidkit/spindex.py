@@ -19,7 +19,7 @@ after pre-composing with a small uniform rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -239,9 +239,6 @@ class MatrixPath:
     def product(self, other: "MatrixPath") -> "ProductPath":
         return ProductPath(self, other)
 
-    def precompose_rotation(self, delta) -> "RotatedPath":
-        return RotatedPath(self, delta)
-
 
 class ProductPath:
     """Pointwise product {A_t B_t}; derivative by the product rule."""
@@ -323,26 +320,6 @@ class FrameIsotopy:
         self.k = k
         self.omega = omega_matrix(k) if omega is None else omega
 
-    @classmethod
-    def from_matrix_path(cls, path, frame: LagrangianFrame):
-        z0 = frame.columns
-        om = frame.omega
-        return cls(lambda t: path.value(t) @ z0,
-                   lambda t: path.derivative(t) @ z0,
-                   frame.k, omega=om)
-
-    @classmethod
-    def graph_of(cls, path):
-        """Graph path {(x, A_t x)} in the doubled space."""
-        k = path.k
-
-        def frame(t):
-            return np.vstack([np.eye(2 * k), path.value(t)])
-
-        def dframe(t):
-            return np.vstack([np.zeros((2 * k, 2 * k)), path.derivative(t)])
-
-        return cls(frame, dframe, 2 * k, omega=doubled_omega(path.k))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +576,7 @@ def ind(path, v: LagrangianFrame, tols=None):
         return path if delta == 0.0 else RotatedPath(path, delta)
 
     def compute(p):
-        iso = FrameIsotopy.from_matrix_path_like(p, v)
+        iso = _from_path_like(p, v)
         return rs_index(iso, v, samples_per_unit=_samples_for(_sampling_hint(p)),
                         tols=tols)
 
@@ -615,9 +592,6 @@ def _from_path_like(p, frame: LagrangianFrame):
     z0 = frame.columns
     return FrameIsotopy(lambda t: val(t) @ z0, lambda t: der(t) @ z0,
                         frame.k, omega=frame.omega)
-
-
-FrameIsotopy.from_matrix_path_like = staticmethod(_from_path_like)
 
 
 def cz_matr(path, tols=None):

@@ -37,6 +37,15 @@ def test_criterion_3_decorated_complexes():
     assert rep["shuffle_invariance"] == "5/5"
 
 
+def test_complex_product_counts_only_bumps_that_ran():
+    # at seed 0 with 50 trials one of the 34 monotone bumps is rejected
+    rep = acceptance.suite_complex_product(seed=0, trials=50)
+    assert rep["passed"], rep
+    assert rep["constant_shift"] == "34/34"
+    assert rep["monotone"] == rep["lipschitz"] == "33/33"
+    assert rep["bumps_skipped"] == 1
+
+
 def test_criterion_4_index_engine():
     rep = _run("index", budget=120)
     assert rep["maslov_loops"] == [2, 4, 6, 8, 10]

@@ -4,6 +4,8 @@ import pytest
 
 from rigidkit.rational_geometry import (
     centroid_and_volume,
+    convex_hull_facets,
+    hull_edges,
     mat_det,
     point_in_hull,
     primitive_vector,
@@ -190,6 +192,13 @@ class TestDisplaceability:
         with pytest.raises(ToricError, match="outside"):
             stable_displaceability_certificate(md, ConvexBody([(5, 5)]))
 
+    def test_repeated_generator_keeps_certificate(self):
+        md = builtin_moment_data("cpn2")
+        body = ball_subpolytope(2, Fr(1, 3))
+        repeated = ConvexBody((body.generators[0],) + body.generators)
+        assert stable_displaceability_certificate(md, body) == (-1, -1)
+        assert stable_displaceability_certificate(md, repeated) == (-1, -1)
+
     def test_lower_dimensional_body(self):
         md = projective_moment_data(2)
         seg = ConvexBody([(Fr(1, 8), Fr(1, 8)), (Fr(1, 7), Fr(1, 7))])
@@ -265,6 +274,21 @@ class TestRationalGeometry:
     def test_no_certificate_when_zero_inside(self):
         pts = [(Fr(-1, 2), 0), (Fr(1, 2), Fr(1, 3)), (Fr(1, 4), Fr(-1, 3))]
         assert separating_functional(pts, 2) is None
+
+    def test_repeated_point_leaves_origin_outside(self):
+        pts = [(1, 1), (2, 1), (1, 2)]
+        assert not point_in_hull((0, 0), pts, 2)
+        assert not point_in_hull((0, 0), pts + [(1, 1)], 2)
+
+    def test_hull_edges_with_integer_normals(self):
+        # 29 edges, confirmed by an LP: a pair is an edge iff every convex
+        # representation of its midpoint puts all weight on the pair
+        pts = [(2, -3, -2, 2), (2, -1, 2, 2), (0, 1, 3, -3), (-3, 0, 3, 1), (2, 3, -1, -3),
+               (1, 0, 1, 3), (2, -2, -1, -1), (1, 0, 3, 1), (0, -2, 2, 3)]
+        assert hull_edges(pts, convex_hull_facets(pts, 4), 4) == [
+            (0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (0, 8), (1, 2), (1, 4), (1, 5), (1, 6),
+            (1, 7), (1, 8), (2, 3), (2, 4), (2, 6), (2, 7), (2, 8), (3, 4), (3, 5), (3, 6),
+            (3, 7), (3, 8), (4, 5), (4, 6), (4, 7), (5, 7), (5, 8), (6, 8), (7, 8)]
 
     def test_det(self):
         assert mat_det([[Fr(1), Fr(2)], [Fr(3), Fr(4)]]) == -2
