@@ -293,6 +293,7 @@ def _cmd_index(args, report):
 
     from .documents import load_document
     from .spindex import (
+        IndexError_,
         LagrangianFrame,
         ProductPath,
         cz_floer,
@@ -341,7 +342,7 @@ def _cmd_index(args, report):
             try:
                 worst = max(worst, qm_defect(a, b))
                 done += 1
-            except Exception:
+            except IndexError_:
                 continue
         report.results["sample_defect"] = {"trials": done, "max_defect": worst}
 

@@ -5,6 +5,11 @@ basis vector, a parity per basis vector, a period group, and a differential
 that squares to zero, flips parity, and strictly decreases the filter.
 Spectral invariants of homology classes are computed through normal and
 spectral bases, entirely in exact arithmetic.
+
+Normal bases are built triangular: each vector is 1 at its own dominant index
+and 0 at the dominant indices of the vectors before it.  Reducing a vector
+against such a basis is therefore forward substitution, one pass over the
+basis in order, with no linear system to solve.
 """
 
 from __future__ import annotations
@@ -196,12 +201,7 @@ def filter_value(v: DecoratedComplex, x: ChainElement):
 
 def is_generic(v: DecoratedComplex) -> bool:
     """No two filter values differ by a period: F(x_i) - F(x_j) not in Gamma."""
-    n = v.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v.gamma.contains(v.filters[i] - v.filters[j]):
-                return False
-    return True
+    return len({v.gamma.residue(f) for f in v.filters}) == v.dim
 
 
 def dominant(v: DecoratedComplex, x: ChainElement):
@@ -239,39 +239,45 @@ def normal_basis(v: DecoratedComplex, vectors):
     span of the ones already normalized (eliminating their dominant
     coordinates), then normalize what remains.  Dependent inputs reduce to
     zero and are dropped.  Requires a generic complex.
+
+    The output is triangular: each vector is 1 at its own dominant index and
+    0 at the dominant indices of the vectors before it, because it was
+    reduced against all of them before it was normalized and appended.
     """
-    out = []
-    dom_indices = []
-    for vec in vectors:
-        w = _reduce_against(v, out, dom_indices, vec)
-        if w.is_zero():
-            continue
-        p, lam = dominant(v, w)
-        if p in dom_indices:
-            raise ComplexError("dominant index collision: complex not generic?")
-        out.append(w.scale(lam.inverse()))
-        dom_indices.append(p)
+    out, doms = [], []
+    _extend_normal(v, out, doms, vectors)
     return out
 
 
-def _reduce_against(v, basis, dom_indices, vec):
-    """Split vec = u + w with u in span(basis) and w supported away from the
-    dominant coordinates of the basis; returns w."""
-    if not basis:
-        return vec
-    t = len(basis)
-    field = v.field
-    mat = [[basis[i].coeffs.get(dom_indices[l], NovikovScalar.zero(field))
-            for i in range(t)] for l in range(t)]
-    rhs = [vec.coeffs.get(dom_indices[l], NovikovScalar.zero(field)) for l in range(t)]
-    alpha = linalg.solve(mat, rhs)
-    if alpha is None:
-        raise ComplexError("normal basis reduction failed (singular system)")
+def _extend_normal(v, basis, doms, vectors):
+    """Append the normalized reductions of vectors to the triangular basis,
+    with their dominant indices to doms, dropping those in its span."""
+    for vec in vectors:
+        w = _reduce(basis, doms, vec)[1]
+        if w.is_zero():
+            continue
+        p, lam = dominant(v, w)
+        if p in doms:
+            raise ComplexError("dominant index collision: complex not generic?")
+        basis.append(w.scale(lam.inverse()))
+        doms.append(p)
+
+
+def _reduce(basis, doms, vec):
+    """Split vec = sum_l a_l basis[l] + w with w zero at every doms[l].
+
+    Forward substitution on the triangular basis: clearing doms[l] with
+    basis[l], in order, leaves the coordinates doms[m] with m < l at zero.
+    Returns ({l: a_l} over the nonzero a_l, w).
+    """
+    coeffs = {}
     w = vec
-    for i, a in enumerate(alpha):
-        if not a.is_zero():
-            w = w - basis[i].scale(a)
-    return w
+    for l, (e, p) in enumerate(zip(basis, doms)):
+        a = w.coeffs.get(p)
+        if a is not None:
+            coeffs[l] = a
+            w = w - e.scale(a)
+    return coeffs, w
 
 
 @dataclass
@@ -307,28 +313,16 @@ def spectral_basis(v: DecoratedComplex, order=None) -> SpectralBasis:
     idx = list(order) if order is not None else list(range(n))
     if sorted(idx) != list(range(n)):
         raise ComplexError("order must be a permutation of the basis indices")
-    image_span = [v.d(v.basis_vector(j)) for j in idx]
-    image_span = [w for w in image_span if not w.is_zero()]
-    g = normal_basis(v, image_span)
-    dom_g = [dominant(v, e)[0] for e in g]
+    basis, doms = [], []
+    _extend_normal(v, basis, doms, (v.d(v.basis_vector(j)) for j in idx))
+    q = len(basis)
     kernel = linalg.nullspace(v.diff_matrix())
     kernel_elems = [ChainElement({i: c for i, c in enumerate(vec)}) for vec in kernel]
-    kernel_elems.sort(key=lambda e: [idx.index(i) for i in sorted(e.coeffs)])
-    out = list(g)
-    doms = list(dom_g)
-    h = []
-    for vec in kernel_elems:
-        w = _reduce_against(v, out, doms, vec)
-        if w.is_zero():
-            continue
-        p, lam = dominant(v, w)
-        if p in doms:
-            raise ComplexError("dominant index collision in kernel extension")
-        e = w.scale(lam.inverse())
-        out.append(e)
-        doms.append(p)
-        h.append(e)
-    q, p = len(g), len(h)
+    pos = {i: k for k, i in enumerate(idx)}
+    kernel_elems.sort(key=lambda e: [pos[i] for i in sorted(e.coeffs)])
+    _extend_normal(v, basis, doms, kernel_elems)
+    g, h = basis[:q], basis[q:]
+    p = len(h)
     if n != p + 2 * q:
         raise ComplexError(f"rank bookkeeping failed: n={n}, p={p}, q={q}")
     x_part = tuple(i for i in range(n) if i not in doms)
@@ -347,18 +341,19 @@ class HomologyClass:
 
 
 def class_of_cycle(v: DecoratedComplex, sb: SpectralBasis, cycle: ChainElement) -> HomologyClass:
-    """Express the homology class of a cycle over the h-part of the basis."""
+    """Express the homology class of a cycle over the h-part of the basis.
+
+    g_part + h_part is triangular as spectral_basis builds it, so the
+    coefficients come from forward substitution.
+    """
     if not v.d(cycle).is_zero():
         raise ComplexError("not a cycle")
-    field = v.field
-    cols = list(sb.g_part) + list(sb.h_part)
-    n = v.dim
-    mat = [[e.coeffs.get(i, NovikovScalar.zero(field)) for e in cols] for i in range(n)]
-    rhs = [cycle.coeffs.get(i, NovikovScalar.zero(field)) for i in range(n)]
-    sol = linalg.solve(mat, rhs)
-    if sol is None:
+    basis = sb.g_part + sb.h_part
+    coeffs, w = _reduce(basis, [dominant(v, e)[0] for e in basis], cycle)
+    if not w.is_zero():
         raise ComplexError("cycle not in the span of the spectral basis")
-    return HomologyClass(tuple(sol[sb.q:]))
+    zero = NovikovScalar.zero(v.field)
+    return HomologyClass(tuple(coeffs.get(l, zero) for l in range(sb.q, len(basis))))
 
 
 def canonical_representative(v: DecoratedComplex, sb: SpectralBasis, a: HomologyClass) -> ChainElement:
@@ -441,12 +436,8 @@ def in_general_position(v1: DecoratedComplex, v2: DecoratedComplex) -> bool:
     if not (is_generic(v1) and is_generic(v2)):
         return False
     gamma = group_sum(v1.gamma, v2.gamma)
-    sums = [f1 + f2 for f1 in v1.filters for f2 in v2.filters]
-    for i in range(len(sums)):
-        for j in range(i + 1, len(sums)):
-            if gamma.contains(sums[i] - sums[j]):
-                return False
-    return True
+    sums = {gamma.residue(f1 + f2) for f1 in v1.filters for f2 in v2.filters}
+    return len(sums) == v1.dim * v2.dim
 
 
 def verify_product_formula(v1, v2, a1: HomologyClass, a2: HomologyClass,

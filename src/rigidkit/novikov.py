@@ -65,21 +65,21 @@ class PeriodGroup:
     def is_trivial(self) -> bool:
         return self.generator == 0
 
-    def contains(self, theta) -> bool:
+    def residue(self, theta) -> Fraction:
+        """theta modulo the group: in [0, generator), or theta itself when trivial.
+
+        Two rationals differ by a group element exactly when their residues agree.
+        """
         theta = _rat(theta)
-        if self.generator == 0:
-            return theta == 0
-        q = theta / self.generator
-        return q.denominator == 1
+        return theta % self.generator if self.generator else theta
+
+    def contains(self, theta) -> bool:
+        return self.residue(theta) == 0
 
     def distance(self, theta) -> Fraction:
         """Distance from theta to the nearest group element."""
-        theta = _rat(theta)
-        if self.generator == 0:
-            return abs(theta)
-        g = self.generator
-        r = theta - g * (theta / g).__floor__()
-        return min(r, g - r)
+        r = self.residue(theta)
+        return min(r, self.generator - r) if self.generator else abs(r)
 
     def __add__(self, other: "PeriodGroup") -> "PeriodGroup":
         return PeriodGroup(rational_gcd(self.generator, other.generator))

@@ -345,8 +345,7 @@ def _nilpotent_scan(algebra, consts):
     for i in range(r):
         if i == algebra.basis.unity_index:
             continue
-        coords = [NovikovScalar.zero(algebra.field)] * r
-        coords[i] = NovikovScalar.one(algebra.field)
+        coords = _unit_vector(algebra, i)
         cur = coords
         for _ in range(r + 1):
             cur = _slice_mul(algebra, consts, cur, coords)
@@ -477,11 +476,9 @@ def is_semisimple(algebra: QuantumAlgebra, decomposition=None) -> Semisimplicity
         gram = []
         for i in range(r):
             row = []
-            ei = [NovikovScalar.zero(QMODEL)] * r
-            ei[i] = NovikovScalar.one(QMODEL)
+            ei = _unit_vector(algebra, i)
             for j in range(r):
-                ej = [NovikovScalar.zero(QMODEL)] * r
-                ej[j] = NovikovScalar.one(QMODEL)
+                ej = _unit_vector(algebra, j)
                 prod = _slice_mul(algebra, consts, ei, ej)
                 mm = algebra.multiplication_matrix(prod)
                 tr = NovikovScalar.zero(QMODEL)
@@ -509,8 +506,7 @@ def is_semisimple(algebra: QuantumAlgebra, decomposition=None) -> Semisimplicity
             f"trace form degenerate; radical element with x^{power} = 0", wit)
 
     # characteristic 2 routes
-    unit_coords = [NovikovScalar.zero(F2)] * r
-    unit_coords[algebra.basis.unity_index] = NovikovScalar.one(F2)
+    unit_coords = _unit_vector(algebra, algebra.basis.unity_index)
 
     if decomposition is not None:
         total = algebra.zero()
@@ -530,11 +526,8 @@ def is_semisimple(algebra: QuantumAlgebra, decomposition=None) -> Semisimplicity
         # each summand e*Q must be a field
         for e in decomposition:
             ec = algebra.to_top_slice(e)
-            images = []
-            for i in range(r):
-                ei = [NovikovScalar.zero(F2)] * r
-                ei[i] = NovikovScalar.one(F2)
-                images.append(_slice_mul(algebra, consts, ec, ei))
+            images = [_slice_mul(algebra, consts, ec, _unit_vector(algebra, i))
+                      for i in range(r)]
             mat = [[images[j][i] for j in range(r)] for i in range(r)]
             sub_rank = linalg.rank(mat)
             if sub_rank == 1:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rigidkit import acceptance
+from rigidkit import acceptance, spindex
 
 
 def _run(name, budget, seed=0, **kw):
@@ -53,6 +53,26 @@ def test_criterion_4_index_engine():
     assert rep["naturality"] == "50/50"
     assert rep["leray"].startswith("100/100")
     assert rep["qm_defect"]["max"] <= acceptance.C_EMP + 1
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc("injected")
+    return fail
+
+
+@pytest.mark.parametrize("callee", ["leray_verify", "qm_defect"])
+def test_index_suite_lets_unexpected_errors_propagate(monkeypatch, callee):
+    monkeypatch.setattr(spindex, callee, _raise(RuntimeError))
+    with pytest.raises(RuntimeError, match="injected"):
+        acceptance.suite_index(seed=0, trials=1)
+
+
+def test_index_suite_skips_regularity_errors(monkeypatch):
+    monkeypatch.setattr(spindex, "qm_defect", _raise(spindex.RegularityError))
+    rep = acceptance.suite_index(seed=0, trials=1)
+    assert rep["qm_defect"]["trials"] == 0
+    assert not rep["passed"]
 
 
 def test_criterion_5_toric():

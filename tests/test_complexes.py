@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rigidkit.linalg as la
 from rigidkit.complexes import (
@@ -10,6 +12,7 @@ from rigidkit.complexes import (
     DecoratedComplex,
     HomologyClass,
     NotGenericError,
+    SpectralBasis,
     canonical_representative,
     class_of_cycle,
     dominant,
@@ -509,3 +512,170 @@ class TestMakeGeneric:
         cyc = v.basis_vector(1)
         lo, hi = spectral_invariant_interval(v, cyc, Fr(1, 10))
         assert lo == hi == Fr(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the dense-solve construction, kept as the reference the triangular
+# forward substitution must reproduce exactly
+
+def _ref_reduce_against(v, basis, dom_indices, vec):
+    if not basis:
+        return vec
+    t = len(basis)
+    zero = NovikovScalar.zero(v.field)
+    mat = [[basis[i].coeffs.get(dom_indices[l], zero) for i in range(t)] for l in range(t)]
+    rhs = [vec.coeffs.get(dom_indices[l], zero) for l in range(t)]
+    alpha = la.solve(mat, rhs)
+    assert alpha is not None
+    w = vec
+    for i, a in enumerate(alpha):
+        if not a.is_zero():
+            w = w - basis[i].scale(a)
+    return w
+
+
+def _ref_extend(v, out, doms, vectors):
+    for vec in vectors:
+        w = _ref_reduce_against(v, out, doms, vec)
+        if w.is_zero():
+            continue
+        p, lam = dominant(v, w)
+        assert p not in doms
+        out.append(w.scale(lam.inverse()))
+        doms.append(p)
+
+
+def _ref_normal_basis(v, vectors):
+    out, doms = [], []
+    _ref_extend(v, out, doms, vectors)
+    return out
+
+
+def _ref_spectral_basis(v, order=None):
+    n = v.dim
+    idx = list(order) if order is not None else list(range(n))
+    image = [w for w in (v.d(v.basis_vector(j)) for j in idx) if not w.is_zero()]
+    out, doms = [], []
+    _ref_extend(v, out, doms, image)
+    q = len(out)
+    kernel = [ChainElement(dict(enumerate(vec))) for vec in la.nullspace(v.diff_matrix())]
+    kernel.sort(key=lambda e: [idx.index(i) for i in sorted(e.coeffs)])
+    _ref_extend(v, out, doms, kernel)
+    return SpectralBasis(tuple(i for i in range(n) if i not in doms),
+                         tuple(out[:q]), tuple(out[q:]))
+
+
+def _ref_class_of_cycle(v, sb, cycle):
+    cols = list(sb.g_part) + list(sb.h_part)
+    zero = NovikovScalar.zero(v.field)
+    mat = [[e.coeffs.get(i, zero) for e in cols] for i in range(v.dim)]
+    sol = la.solve(mat, [cycle.coeffs.get(i, zero) for i in range(v.dim)])
+    assert sol is not None
+    return HomologyClass(tuple(sol[sb.q:]))
+
+
+def _assert_matches_reference(rng, v, order=None):
+    sb = spectral_basis(v, order)
+    assert sb == _ref_spectral_basis(v, order)
+    if sb.p:
+        a, _ = random_homology_class(rng, v, sb)
+        cycle = random_cycle_representative(rng, v, sb, a)
+        cls = class_of_cycle(v, sb, cycle)
+        assert cls == _ref_class_of_cycle(v, sb, cycle) == a
+    return sb
+
+
+class TestDenseSolveOracle:
+    @pytest.mark.parametrize("field", [QMODEL, F2])
+    def test_corpus_complexes(self, field):
+        rng = random.Random(31)
+        for _ in range(20):
+            _assert_matches_reference(rng, random_decorated_complex(rng, field, max_dim=8))
+
+    @pytest.mark.parametrize("field", [QMODEL, F2])
+    def test_shuffled_orders(self, field):
+        rng = random.Random(32)
+        for _ in range(8):
+            v = random_decorated_complex(rng, field, max_dim=7)
+            order = list(range(v.dim))
+            rng.shuffle(order)
+            _assert_matches_reference(rng, v, order)
+
+    @pytest.mark.parametrize("field", [QMODEL, F2])
+    def test_tensor_products(self, field):
+        rng = random.Random(33)
+        for _ in range(5):
+            v1, v2 = random_general_position_pair(rng, field, max_dim=6)
+            prod = tensor(v1, v2)
+            order = list(range(prod.dim))
+            rng.shuffle(order)
+            _assert_matches_reference(rng, prod)
+            _assert_matches_reference(rng, prod, order)
+
+    def test_normal_basis_of_mixed_vectors(self):
+        rng = random.Random(34)
+        for _ in range(10):
+            v = random_decorated_complex(rng, QMODEL, max_dim=7)
+            vecs = [v.basis_vector(i) + v.basis_vector(rng.randrange(v.dim)).scale(
+                        mono(rng.randrange(-3, 4), rng.randrange(1, 4)))
+                    for i in range(v.dim)]
+            vecs += vecs[:2]
+            rng.shuffle(vecs)
+            assert normal_basis(v, vecs) == _ref_normal_basis(v, vecs)
+
+    def test_cycle_outside_span_raises(self):
+        rng = random.Random(35)
+        v = next(w for w in (random_decorated_complex(rng, QMODEL, dim=6)
+                             for _ in range(50)) if spectral_basis(w).p)
+        sb = spectral_basis(v)
+        short = SpectralBasis(sb.x_part, sb.g_part, sb.h_part[:-1])
+        with pytest.raises(ComplexError, match="not in the span"):
+            class_of_cycle(v, short, sb.h_part[-1])
+
+
+# ---------------------------------------------------------------------------
+# genericity by residues against the pairwise rule
+
+def _in_group(generator, theta):
+    return theta == 0 if generator == 0 else (theta / generator).denominator == 1
+
+
+FILTERS = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                   min_size=1, max_size=6)
+GENERATORS = st.one_of(st.just(Fr(0)),
+                       st.fractions(min_value=Fr(1, 6), max_value=2, max_denominator=6))
+
+
+@given(FILTERS, GENERATORS)
+@settings(max_examples=300, deadline=None)
+def test_is_generic_matches_pairwise_rule(filters, generator):
+    v = zero_d_complex(filters, PeriodGroup(generator))
+    pairwise = not any(_in_group(generator, a - b)
+                       for i, a in enumerate(filters) for b in filters[i + 1:])
+    assert is_generic(v) == pairwise
+
+
+@given(FILTERS, FILTERS, GENERATORS, GENERATORS)
+@settings(max_examples=300, deadline=None)
+def test_in_general_position_matches_pairwise_rule(f1, f2, g1, g2):
+    v1 = zero_d_complex(f1, PeriodGroup(g1))
+    v2 = zero_d_complex(f2, PeriodGroup(g2))
+    gamma = PeriodGroup(g1) + PeriodGroup(g2)
+    sums = [a + b for a in f1 for b in f2]
+    pairwise = (is_generic(v1) and is_generic(v2) and not any(
+        _in_group(gamma.generator, a - b) for i, a in enumerate(sums) for b in sums[i + 1:]))
+    assert in_general_position(v1, v2) == pairwise
+
+
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=12), GENERATORS)
+@settings(max_examples=300, deadline=None)
+def test_period_group_residue(theta, generator):
+    gamma = PeriodGroup(generator)
+    r = gamma.residue(theta)
+    assert _in_group(generator, theta - r)
+    assert gamma.contains(theta) == _in_group(generator, theta)
+    if generator:
+        assert 0 <= r < generator
+        assert gamma.distance(theta) == min(r, generator - r)
+    else:
+        assert r == theta and gamma.distance(theta) == abs(theta)

@@ -18,6 +18,7 @@ from rigidkit.documents import (
 )
 from rigidkit.novikov import QMODEL
 from rigidkit.quantum import projective_space, quadric_surface
+from rigidkit import spindex
 from rigidkit.spindex import LagrangianFrame, MatrixPath, rotation_generator
 from rigidkit.toric import ball_subpolytope, builtin_moment_data
 
@@ -212,6 +213,21 @@ class TestCLI:
         assert code == 0
         val = json.loads(out)["results"]["ind"]
         assert val * 2 == round(val * 2)
+
+    @pytest.mark.parametrize("exc, expected", [(RuntimeError, 2),
+                                               (spindex.RegularityError, 0)])
+    def test_sample_defect_skips_only_index_errors(self, monkeypatch, exc, expected):
+        def fail(a, b):
+            raise exc("injected")
+        monkeypatch.setattr(spindex, "qm_defect", fail)
+        code, out = self.run("--json", "index", data("mixed.path.json"),
+                             "--sample-defect", "--trials", "3")
+        assert code == expected
+        results = json.loads(out)["results"]
+        if expected:
+            assert "sample_defect" not in results
+        else:
+            assert results["sample_defect"]["trials"] == 0
 
     def test_toric_pspec(self):
         code, out = self.run("--json", "toric", data("cpn2.polytope.json"),
