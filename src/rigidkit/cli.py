@@ -461,7 +461,7 @@ def build_parser():
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized suites (fallback: RIGIDKIT_SEED)")
     shared.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker count for batch suites (currently sequential)")
+                        help="deprecated and ignored: suites run sequentially")
 
     p = argparse.ArgumentParser(
         prog="rigidkit",
@@ -470,8 +470,8 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="emit the full JSON report")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for randomized suites (fallback: RIGIDKIT_SEED)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker count for batch suites (currently sequential)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="deprecated and ignored: suites run sequentially")
     sub = p.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
 
     ring = sub.add_parser("ring", parents=[shared], help="structure-constant algebra analysis")
@@ -547,6 +547,9 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return 2
+    if args.jobs is not None:
+        print("rigidkit: --jobs is deprecated and ignored; suites run sequentially",
+              file=sys.stderr)
     if args.seed is None:
         env = os.environ.get("RIGIDKIT_SEED")
         if env is not None:

@@ -14,12 +14,20 @@ W-component of the curve through v staying in L(t), for a fixed Lagrangian
 complement W of L(t0).  Signatures of regular crossings are summed, with
 half weight at the endpoints.  Non-regular configurations are retried
 after pre-composing with a small uniform rotation.
+
+Crossings are located on sample grids of a normalized determinant.  Each
+grid is evaluated in blocks of _GRID_BLOCK samples: the paths return their
+values at a whole block as one stacked (N, n, n) array, and the frames of
+the block are solved against the fixed basis [V | complement of V] (built
+once per grid) in one stacked solve and one stacked determinant.  Sign
+changes and dips found on the grid are then refined one sample at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import expm
@@ -32,6 +40,10 @@ DEFAULT_TOLS = {
     "det_zero": 1e-10,     # normalized determinant zero threshold
 }
 
+# grid samples per stacked solve/det in the crossing search: bounds the
+# memory of one grid evaluation independently of the grid size
+_GRID_BLOCK = 256
+
 
 class IndexError_(ValueError):
     pass
@@ -41,10 +53,19 @@ class RegularityError(IndexError_):
     pass
 
 
+def _block_antidiagonal(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """[[0, upper], [lower, 0]]; cheaper than np.block for these small,
+    often rebuilt constants."""
+    k = upper.shape[0]
+    out = np.zeros((2 * k, 2 * k))
+    out[:k, k:] = upper
+    out[k:, :k] = lower
+    return out
+
+
 def omega_matrix(k: int) -> np.ndarray:
-    z = np.zeros((k, k))
     i = np.eye(k)
-    return np.block([[z, i], [-i, z]])
+    return _block_antidiagonal(i, -i)
 
 
 def rotation_generator(k: int) -> np.ndarray:
@@ -53,9 +74,8 @@ def rotation_generator(k: int) -> np.ndarray:
 
 
 def j_matrix(k: int) -> np.ndarray:
-    z = np.zeros((k, k))
     i = np.eye(k)
-    return np.block([[z, -i], [i, z]])
+    return _block_antidiagonal(-i, i)
 
 
 def doubled_omega(k: int) -> np.ndarray:
@@ -134,8 +154,8 @@ class LagrangianFrame:
 class _SegmentExp:
     """Fast exp(t M) for fixed M via a cached eigendecomposition.
 
-    Falls back to scipy's expm when M is defective (e.g. nilpotent shear
-    generators), detected by a reconstruction check.
+    Falls back to scipy's expm, one t at a time, when M is defective (e.g.
+    nilpotent shear generators), detected by a reconstruction check.
     """
 
     def __init__(self, m):
@@ -152,9 +172,15 @@ class _SegmentExp:
             pass
 
     def at(self, t):
+        return self.at_many(np.array([t]))[0]
+
+    def at_many(self, ts):
+        """exp(t M) for every t in ts, stacked as an (N, n, n) array."""
+        ts = np.asarray(ts, dtype=float)
         if self._ok:
-            return ((self.v * np.exp(self.w * t)) @ self.vinv).real
-        return expm(self.m * t)
+            scale = np.exp(np.multiply.outer(ts, self.w))[:, None, :]
+            return ((self.v * scale) @ self.vinv).real
+        return np.stack([expm(self.m * t) for t in ts])
 
 
 class MatrixPath:
@@ -185,28 +211,36 @@ class MatrixPath:
         self.total = sum(d for _, d in segs)
         self._j = j_matrix(self.k)
         self._exps = [_SegmentExp(self._j @ s) for s, _ in segs]
-        # left endpoint value of each segment
+        # value at the left end of each segment; clock times at which each
+        # segment starts (offsets) and ends
         self._starts = [np.eye(2 * self.k)]
         for (s, d), ex in zip(segs, self._exps):
             self._starts.append(ex.at(d) @ self._starts[-1])
+        ends = list(accumulate(d for _, d in segs))
+        self._ends, self._offsets = np.array(ends), np.array([0.0] + ends[:-1])
 
-    def _locate(self, t):
-        t = min(max(float(t), 0.0), 1.0) * self.total
-        acc = 0.0
-        for i, (s, d) in enumerate(self.segments):
-            if t <= acc + d or i == len(self.segments) - 1:
-                return i, t - acc
-            acc += d
-        raise AssertionError
+    def _clock(self, ts):
+        """Clock times of ts (clamped to [0, 1]) and the segment of each; a
+        time on a segment boundary belongs to the earlier segment."""
+        t = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0) * self.total
+        return t, np.minimum(np.searchsorted(self._ends, t), len(self.segments) - 1)
+
+    def values(self, ts) -> np.ndarray:
+        """Path values at every t in ts, stacked as an (N, 2k, 2k) array."""
+        t, seg = self._clock(ts)
+        out = np.empty((len(t), 2 * self.k, 2 * self.k))
+        for i, ex in enumerate(self._exps):
+            sel = seg == i
+            if sel.any():
+                out[sel] = ex.at_many(t[sel] - self._offsets[i]) @ self._starts[i]
+        return out
 
     def value(self, t) -> np.ndarray:
-        i, local = self._locate(t)
-        return self._exps[i].at(local) @ self._starts[i]
+        return self.values(np.array([t]))[0]
 
     def derivative(self, t) -> np.ndarray:
         """d/dt of the path at parameter t (scaled to the [0,1] clock)."""
-        i, local = self._locate(t)
-        s, _ = self.segments[i]
+        s, _ = self.segments[self._clock(np.array([t]))[1][0]]
         return (self._j @ s * self.total) @ self.value(t)
 
     def end(self) -> np.ndarray:
@@ -249,8 +283,11 @@ class ProductPath:
         self.k = a.k
         self.a, self.b = a, b
 
+    def values(self, ts):
+        return self.a.values(ts) @ self.b.values(ts)
+
     def value(self, t):
-        return self.a.value(t) @ self.b.value(t)
+        return self.values(np.array([t]))[0]
 
     def derivative(self, t):
         return (self.a.derivative(t) @ self.b.value(t)
@@ -273,8 +310,11 @@ class RotatedPath:
         self._j = j_matrix(self.k)
         self._exp = _SegmentExp(self._j * self.delta)
 
+    def values(self, ts):
+        return self._exp.at_many(ts) @ self.base.values(ts)
+
     def value(self, t):
-        return self._exp.at(t) @ self.base.value(t)
+        return self.values(np.array([t]))[0]
 
     def derivative(self, t):
         r = self._exp.at(t)
@@ -292,13 +332,16 @@ class DoubledPath:
         self.base = base
         self.k = 2 * base.k
 
-    def value(self, t):
-        a = self.base.value(t)
-        n = a.shape[0]
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = np.eye(n)
-        out[n:, n:] = a
+    def values(self, ts):
+        a = self.base.values(ts)
+        n = a.shape[1]
+        out = np.zeros((len(a), 2 * n, 2 * n))
+        out[:, :n, :n] = np.eye(n)
+        out[:, n:, n:] = a
         return out
+
+    def value(self, t):
+        return self.values(np.array([t]))[0]
 
     def derivative(self, t):
         da = self.base.derivative(t)
@@ -312,14 +355,23 @@ class DoubledPath:
 
 
 class FrameIsotopy:
-    """Lagrangian path L(t) = span(Z(t)) with exact derivative."""
+    """Lagrangian path L(t) = span(Z(t)) with exact derivative.
 
-    def __init__(self, frame_fn, dframe_fn, k, omega=None):
+    frames_fn, when given, maps an array of N parameters to the (N, n, k)
+    stack of their frames; without it frames() stacks frame_fn calls.
+    """
+
+    def __init__(self, frame_fn, dframe_fn, k, omega=None, frames_fn=None):
         self.frame = frame_fn
         self.dframe = dframe_fn
         self.k = k
         self.omega = omega_matrix(k) if omega is None else omega
+        self._frames = frames_fn
 
+    def frames(self, ts) -> np.ndarray:
+        if self._frames is not None:
+            return self._frames(np.asarray(ts, dtype=float))
+        return np.stack([self.frame(t) for t in ts])
 
 
 # ---------------------------------------------------------------------------
@@ -333,31 +385,27 @@ class CrossingRecord:
     at_endpoint: bool
 
 
-def _complement_basis(v: np.ndarray) -> np.ndarray:
-    """Any basis of a complement of span(v) in the ambient space."""
-    n, k = v.shape
+def _indicator_basis(v: np.ndarray) -> np.ndarray:
+    """m = [v | w] for a basis w of a complement of span(v)."""
+    k = v.shape[1]
     q, _ = np.linalg.qr(v, mode="complete")
-    return q[:, k:]
+    return np.hstack([v, q[:, k:]])
 
 
-def _det_indicator(z: np.ndarray, v_frame: np.ndarray):
-    """Normalized determinant whose zeros detect span(z) & span(v) != 0.
+def _det_indicators(m: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Normalized determinants whose zeros detect span(z) & span(v) != 0,
+    for a stack zs of (n, k) frames and m = _indicator_basis(v).
 
-    Solve [v | w] c = z for a complement w of v; the lower block is
-    singular exactly at crossings.  Normalized by column norms so the
-    value is scale free.
+    Solve m c = z; the lower k x k block of c is singular exactly at
+    crossings.  Normalized by the column norms of c, so the value is scale
+    free and small exactly when some combination of the z-columns falls
+    into V.
     """
-    n, k = z.shape
-    w = _complement_basis(v_frame)
-    m = np.hstack([v_frame, w])
-    c = np.linalg.solve(m, z)
-    beta = c[k:, :]
-    # scale-free: normalize by the full coordinate columns, so the value is
-    # small exactly when some combination of the z-columns falls into V
-    norms = np.linalg.norm(c, axis=0)
-    d = float(np.linalg.det(beta))
-    denom = float(np.prod(np.maximum(norms, 1e-300)))
-    return d / denom if denom > 0 else 0.0, beta
+    k = zs.shape[2]
+    c = np.linalg.solve(m, zs)
+    d = np.linalg.det(c[:, k:, :])
+    denom = np.prod(np.maximum(np.linalg.norm(c, axis=1), 1e-300), axis=1)
+    return np.divide(d, denom, out=np.zeros_like(d), where=denom > 0)
 
 
 def _kernel_coefficients(beta: np.ndarray, tol):
@@ -376,7 +424,7 @@ def crossing_form(iso: FrameIsotopy, v_frame: np.ndarray, t0: float, tols=None):
     z = iso.frame(t0)
     dz = iso.dframe(t0)
     n2, k = z.shape
-    _, beta = _det_indicator(z, v_frame)
+    beta = np.linalg.solve(_indicator_basis(v_frame), z)[k:, :]
     null = _kernel_coefficients(beta, tols["eig_zero"])
     if not null:
         raise RegularityError("no kernel found at a reported crossing")
@@ -414,7 +462,9 @@ def _find_crossings(iso: FrameIsotopy, v_frame: np.ndarray, samples, tols):
     to the largest indicator value along the path, so uniformly small
     indicators (tiny regularizations) are handled correctly."""
     ts = samples
-    fs = np.array([_det_indicator(iso.frame(t), v_frame)[0] for t in ts])
+    m = _indicator_basis(v_frame)
+    fs = np.concatenate([_det_indicators(m, iso.frames(ts[i:i + _GRID_BLOCK]))
+                         for i in range(0, len(ts), _GRID_BLOCK)])
     absf = np.abs(fs)
     fmax = float(np.max(absf))
     if fmax == 0.0:
@@ -426,7 +476,7 @@ def _find_crossings(iso: FrameIsotopy, v_frame: np.ndarray, samples, tols):
     crossings = set()
 
     def f_at(t):
-        return _det_indicator(iso.frame(t), v_frame)[0]
+        return _det_indicators(m, iso.frames([t]))[0]
 
     def bisect(a, b, fa, fb):
         for _ in range(200):
@@ -460,21 +510,20 @@ def _find_crossings(iso: FrameIsotopy, v_frame: np.ndarray, samples, tols):
         crossings.add(0.0)
     if near[-1]:
         crossings.add(1.0)
-    for i in range(len(ts) - 1):
-        fa, fb = fs[i], fs[i + 1]
-        if (fa < 0) != (fb < 0) and not near[i] and not near[i + 1]:
-            crossings.add(bisect(ts[i], ts[i + 1], fa, fb))
+    neg, far = fs < 0, ~near
+    for i in np.flatnonzero((neg[:-1] != neg[1:]) & far[:-1] & far[1:]):
+        crossings.add(bisect(ts[i], ts[i + 1], fs[i], fs[i + 1]))
     # tangential crossings: refine every local minimum of |f| that dips
     # well below the path scale, accept if the refined value is zero-like
     gate = 0.05 * fmax
-    for i in range(1, len(ts) - 1):
-        if absf[i] <= absf[i - 1] and absf[i] <= absf[i + 1] and absf[i] < gate:
-            if near[i]:
-                crossings.add(float(ts[i]))
-                continue
-            t_min = refine_min(ts[i - 1], ts[i + 1])
-            if abs(f_at(t_min)) <= max(zero, 1e-14 * fmax):
-                crossings.add(t_min)
+    inner = absf[1:-1]
+    for i in np.flatnonzero((inner <= absf[:-2]) & (inner <= absf[2:]) & (inner < gate)) + 1:
+        if near[i]:
+            crossings.add(float(ts[i]))
+            continue
+        t_min = refine_min(ts[i - 1], ts[i + 1])
+        if abs(f_at(t_min)) <= max(zero, 1e-14 * fmax):
+            crossings.add(t_min)
     # merge refinements of the same zero (bisection and min-search can land
     # within ~1e-7 of each other on a single simple crossing)
     merge_tol = max(1e-6, 10 * tols["bisection"])
@@ -583,15 +632,10 @@ def ind(path, v: LagrangianFrame, tols=None):
     return _with_regularization(compute, maker, tols)
 
 
-def _path_value_fns(p):
-    return (lambda t: p.value(t)), (lambda t: p.derivative(t))
-
-
 def _from_path_like(p, frame: LagrangianFrame):
-    val, der = _path_value_fns(p)
     z0 = frame.columns
-    return FrameIsotopy(lambda t: val(t) @ z0, lambda t: der(t) @ z0,
-                        frame.k, omega=frame.omega)
+    return FrameIsotopy(lambda t: p.value(t) @ z0, lambda t: p.derivative(t) @ z0,
+                        frame.k, omega=frame.omega, frames_fn=lambda ts: p.values(ts) @ z0)
 
 
 def cz_matr(path, tols=None):
@@ -614,13 +658,17 @@ def cz_matr(path, tols=None):
 def _graph_isotopy(p):
     k = p.k
 
+    def frames(ts):
+        a = p.values(ts)
+        return np.concatenate([np.broadcast_to(np.eye(2 * k), a.shape), a], axis=1)
+
     def frame(t):
-        return np.vstack([np.eye(2 * k), p.value(t)])
+        return frames(np.array([t]))[0]
 
     def dframe(t):
         return np.vstack([np.zeros((2 * k, 2 * k)), p.derivative(t)])
 
-    return FrameIsotopy(frame, dframe, 2 * k, omega=doubled_omega(k))
+    return FrameIsotopy(frame, dframe, 2 * k, omega=doubled_omega(k), frames_fn=frames)
 
 
 def ind_doubled(path, tols=None):
@@ -654,8 +702,11 @@ class _DoubledRotated:
         self._j = -om
         self._exp = _SegmentExp(self._j * self.delta)
 
+    def values(self, ts):
+        return self._exp.at_many(ts) @ self.base.values(ts)
+
     def value(self, t):
-        return self._exp.at(t) @ self.base.value(t)
+        return self.values(np.array([t]))[0]
 
     def derivative(self, t):
         r = self._exp.at(t)

@@ -270,6 +270,25 @@ class TestCLI:
         code, _ = self.run("verify", "--suite", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_jobs_is_deprecated_and_ignored(self, capsys, as_json):
+        args = ["index", data("rotation_loop.path.json"), "--maslov", "--cz", "--n", "1"]
+        flags = ["--json"] if as_json else []
+        outputs = []
+        for argv in (flags + args, flags + ["--jobs", "4"] + args, flags + args + ["--jobs", "2"]):
+            assert cli_main(argv) == 0
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == ("--jobs" in argv)
+            assert all("--jobs is deprecated" in line for line in lines)
+            out = captured.out
+            if as_json:
+                rep = json.loads(out)
+                rep.pop("timing_ms")
+                out = json.dumps(rep, sort_keys=True, indent=2)
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_violation_exit_code(self, tmp_path):
         # a polytope that is not Delzant: --delzant reports a violation
         doc = {"kind": "polytope", "dimension": 2,
@@ -283,6 +302,13 @@ class TestCLI:
 
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "rigidkit.cli", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "rigidkit" in proc.stdout
+
+
+def test_module_entry_point():
+    proc = subprocess.run([sys.executable, "-m", "rigidkit", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "rigidkit" in proc.stdout
