@@ -189,7 +189,6 @@ def _cmd_ring(args, report):
         is_semisimple,
         kunneth,
         qprod,
-        tables_equal,
     )
 
     alg = load_document(args.file, "ring")
@@ -232,8 +231,6 @@ def _cmd_ring(args, report):
 
 def _cmd_complex(args, report):
     from .complexes import (
-        class_of_cycle,
-        canonical_representative,
         spectral_basis,
         spectral_invariant,
         tensor,
@@ -294,16 +291,12 @@ def _cmd_index(args, report):
     from .documents import load_document
     from .spindex import (
         IndexError_,
-        LagrangianFrame,
-        ProductPath,
         cz_floer,
         cz_matr,
         ind,
         leray_verify,
         maslov_loop,
         qm_defect,
-        rs_index,
-        FrameIsotopy,
     )
 
     path = load_document(args.file, "path")
@@ -330,8 +323,6 @@ def _cmd_index(args, report):
         report.add_input(args.qm_defect)
         report.results["qm_defect"] = qm_defect(path, other)
     if args.sample_defect:
-        import numpy as np
-
         from .corpus import random_matrix_path
         rng = np.random.default_rng(args.seed or 0)
         worst = 0.0
@@ -348,11 +339,8 @@ def _cmd_index(args, report):
 
 
 def _cmd_toric(args, report):
-    from fractions import Fraction
-
     from .documents import load_document
     from .toric import (
-        ConvexBody,
         ball_subpolytope,
         delzant_verify,
         fiber_status,

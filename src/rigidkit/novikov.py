@@ -693,7 +693,8 @@ class LambdaElement:
         return self * scalar
 
     def coefficient(self, k: int) -> NovikovScalar:
-        return self.terms.get(k, NovikovScalar.zero(self.field))
+        sc = self.terms.get(k)
+        return sc if sc is not None else NovikovScalar.zero(self.field)
 
     def valuation(self):
         if not self.terms:

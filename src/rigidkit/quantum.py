@@ -5,6 +5,10 @@ even-degree classes; the product of two basis classes is a combination of
 basis classes with Laurent-in-q coefficients.  The top-degree part (the
 degree-2n slice) is a finite-rank algebra over the scalar field and hosts
 idempotent, semisimplicity and divisibility analysis.
+
+An algebra is immutable after construction: nothing changes its table, so
+the slice's structure constants are built once, on first use, and shared by
+every later product, trace and multiplication matrix.
 """
 
 from __future__ import annotations
@@ -153,6 +157,7 @@ class QuantumAlgebra:
                 raise AlgebraError(f"conflicting table entries for {key}")
             t[key] = cleaned
         self.table = t
+        self._top_slice = None
 
     def __eq__(self, other):
         if not isinstance(other, QuantumAlgebra):
@@ -191,7 +196,6 @@ class QuantumAlgebra:
         """
         bad = []
         n2 = self.basis.dimension_2n
-        u = self.basis.unity_index
         for i in range(self.rank):
             prod = qprod(self, self.unity(), self.basis_element(i))
             if prod != self.basis_element(i):
@@ -209,14 +213,14 @@ class QuantumAlgebra:
                         f"exponent outside period group in "
                         f"{self.basis.labels[i]}*{self.basis.labels[j]}")
         if deep:
-            els = [self.basis_element(i) for i in range(self.rank)]
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    ij = qprod(self, els[i], els[j])
-                    for k in range(self.rank):
-                        lhs = qprod(self, ij, els[k])
-                        rhs = qprod(self, els[i], qprod(self, els[j], els[k]))
-                        if lhs != rhs:
+            r = self.rank
+            els = [self.basis_element(i) for i in range(r)]
+            prods = [[qprod(self, els[i], els[j]) for j in range(r)] for i in range(r)]
+            for i in range(r):
+                for j in range(r):
+                    for k in range(r):
+                        lhs = qprod(self, prods[i][j], els[k])
+                        if lhs != qprod(self, els[i], prods[j][k]):
                             bad.append(
                                 f"associativity fails on "
                                 f"({self.basis.labels[i]},{self.basis.labels[j]},{self.basis.labels[k]})")
@@ -227,31 +231,25 @@ class QuantumAlgebra:
         """Structure constants over the scalar field of the degree-2n part.
 
         Basis vector i of the slice is b_i * q^{r_i} with r_i = (2n - deg_i)/2.
-        Returns c[i][j] = dict {k: NovikovScalar}.
+        Returns c[i][j] = dict {k: NovikovScalar}, built on the first call
+        and returned as the same object afterwards.
         """
-        n2 = self.basis.dimension_2n
-        r = self.rank
-        out = [[None] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(r):
-                entry = self.entry(i, j)
-                row = {}
-                for k, lam in entry.items():
-                    # grading forces a single q-power per class
-                    qps = lam.q_powers()
-                    for qp in qps:
-                        row[k] = lam.coefficient(qp)
-                out[i][j] = row
-        return out
+        if self._top_slice is None:
+            r = self.rank
+            # grading forces a single q-power per class
+            self._top_slice = tuple(
+                tuple({k: lam.coefficient(qp) for k, lam in self.entry(i, j).items()
+                       for qp in lam.q_powers()} for j in range(r))
+                for i in range(r))
+        return self._top_slice
 
     def to_top_slice(self, x: QHElement):
         """Coordinates of a homogeneous element in the degree-2n slice."""
-        deg = x.degree()
-        if x.is_zero():
-            return [NovikovScalar.zero(self.field)] * self.rank
-        if deg is None:
-            raise AlgebraError("element is not degree-homogeneous")
         coords = [NovikovScalar.zero(self.field)] * self.rank
+        if x.is_zero():
+            return coords
+        if x.degree() is None:
+            raise AlgebraError("element is not degree-homogeneous")
         for i, lam in x.coeffs.items():
             for qp in lam.q_powers():
                 coords[i] = lam.coefficient(qp)
@@ -472,20 +470,8 @@ def is_semisimple(algebra: QuantumAlgebra, decomposition=None) -> Semisimplicity
             wit)
 
     if algebra.field == QMODEL:
-        # trace form T(x, y) = tr L_{xy}; nondegenerate iff no radical (char 0)
-        gram = []
-        for i in range(r):
-            row = []
-            ei = _unit_vector(algebra, i)
-            for j in range(r):
-                ej = _unit_vector(algebra, j)
-                prod = _slice_mul(algebra, consts, ei, ej)
-                mm = algebra.multiplication_matrix(prod)
-                tr = NovikovScalar.zero(QMODEL)
-                for t in range(r):
-                    tr = tr + mm[t][t]
-                row.append(tr)
-            gram.append(row)
+        # the trace form is nondegenerate iff there is no radical (char 0)
+        gram = _trace_form(algebra)
         d = linalg.det(gram)
         if not d.is_zero():
             return SemisimplicityResult(
@@ -526,13 +512,11 @@ def is_semisimple(algebra: QuantumAlgebra, decomposition=None) -> Semisimplicity
         # each summand e*Q must be a field
         for e in decomposition:
             ec = algebra.to_top_slice(e)
-            images = [_slice_mul(algebra, consts, ec, _unit_vector(algebra, i))
-                      for i in range(r)]
-            mat = [[images[j][i] for j in range(r)] for i in range(r)]
+            mat = algebra.multiplication_matrix(ec)
             sub_rank = linalg.rank(mat)
             if sub_rank == 1:
                 continue
-            sub_basis = _independent_subset(images, sub_rank)
+            sub_basis = _independent_subset([list(col) for col in zip(*mat)], sub_rank)
             pres = _cyclic_monomial_presentation(algebra, consts, ec, sub_basis)
             if pres is None:
                 return SemisimplicityResult(
@@ -562,6 +546,18 @@ def is_semisimple(algebra: QuantumAlgebra, decomposition=None) -> Semisimplicity
         "inconclusive",
         "characteristic 2: no nilpotent found, no decomposition supplied, "
         "no monomial presentation detected")
+
+
+def _trace_form(algebra):
+    """Gram matrix of T(e_i, e_j) = tr L_{e_i e_j} = sum_k c_ij^k tr L_{e_k}
+    on the slice basis, with the class traces tr L_{e_k} = sum_j c_kj^j."""
+    consts = algebra.top_slice_constants()
+    r = algebra.rank
+    zero = NovikovScalar.zero(algebra.field)
+    traces = [sum((consts[k][j][j] for j in range(r) if j in consts[k][j]), zero)
+              for k in range(r)]
+    return [[sum((sc * traces[k] for k, sc in consts[i][j].items()), zero)
+             for j in range(r)] for i in range(r)]
 
 
 def _unit_vector(algebra, i):

@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 import rigidkit.linalg as la
+import rigidkit.quantum as qm
 from rigidkit.novikov import F2, QMODEL, LambdaElement, NovikovScalar, PeriodGroup
 from rigidkit.quantum import (
     AlgebraError,
@@ -195,6 +196,22 @@ class TestSemisimplicity:
         res = is_semisimple(alg, decomposition=[alg.unity(), alg.unity()])
         assert res.verdict == "inconclusive"
 
+    def test_f2_decomposition_into_fields(self):
+        # K + K over GF(2) (X = e q with X^2 = X) tensored with CP^n: the
+        # summands X*CP^n and (1 + X)*CP^n have rank n + 1, and each is a
+        # field by the presentation Y^{n+1} = s^{-(n+1)} searched in its span
+        basis = GradedBasis(("one", "e"), (2, 0), 2, 0, 1)
+        one = LambdaElement.one(F2)
+        split = QuantumAlgebra(F2, basis, PeriodGroup.trivial(),
+                               {(0, 0): {0: one}, (0, 1): {1: one},
+                                (1, 1): {1: LambdaElement.q_power(F2, -1)}})
+        for n in (1, 2, 3):
+            alg = kunneth(split, projective_space(n, F2))
+            x = alg.basis_element(alg.basis.index_of("ex[M]"), 1)
+            res = is_semisimple(alg, decomposition=[x, alg.unity() + x])
+            assert res.verdict == "semisimple", res.reason
+            assert "decomposition" in res.reason
+
 
 class TestKunneth:
     def test_unity_and_point(self):
@@ -271,3 +288,91 @@ def test_element_degree():
     assert hom.degree() == 4
     mixed = hom + qd.point()
     assert mixed.degree() is None
+
+
+# ---------------------------------------------------------------------------
+# the cached slice table against the constructions it replaced
+
+RATIONAL_BUILTINS = ("cpn1-q", "cpn2-q", "cpn3-q", "cpn4-q", "s2", "quadric")
+
+
+def rational_algebras():
+    """The rational built-ins and their Kunneth products up to rank 12."""
+    algs = [builtin_algebra(n) for n in RATIONAL_BUILTINS]
+    prods = [kunneth(a, b) for i, a in enumerate(algs) for b in algs[i:]
+             if a.rank * b.rank <= 12]
+    return algs + prods
+
+
+def slice_basis(alg):
+    """The slice basis b_i q^{r_i} as algebra elements."""
+    zero, one = NovikovScalar.zero(alg.field), NovikovScalar.one(alg.field)
+    return [alg.from_top_slice([one if t == i else zero for t in range(alg.rank)],
+                               alg.basis.dimension_2n) for i in range(alg.rank)]
+
+
+def trace_form_oracle(alg):
+    """tr L_{e_i e_j} as the diagonal sum of the multiplication matrix of
+    each slice product e_i e_j."""
+    els = slice_basis(alg)
+    gram = []
+    for ei in els:
+        row = []
+        for ej in els:
+            mm = alg.multiplication_matrix(alg.to_top_slice(qprod(alg, ei, ej)))
+            tr = NovikovScalar.zero(alg.field)
+            for t in range(alg.rank):
+                tr = tr + mm[t][t]
+            row.append(tr)
+        gram.append(row)
+    return gram
+
+
+def associativity_oracle(alg):
+    """The r^3 loop that recomputes the inner product of every triple."""
+    bad = []
+    labels = alg.basis.labels
+    els = [alg.basis_element(i) for i in range(alg.rank)]
+    for i in range(alg.rank):
+        for j in range(alg.rank):
+            ij = qprod(alg, els[i], els[j])
+            for k in range(alg.rank):
+                if qprod(alg, ij, els[k]) != qprod(alg, els[i], qprod(alg, els[j], els[k])):
+                    bad.append(f"associativity fails on ({labels[i]},{labels[j]},{labels[k]})")
+    return bad
+
+
+class TestSliceTable:
+    def test_built_once(self):
+        alg = kunneth(builtin_algebra("cpn1-q"), builtin_algebra("cpn2-q"))
+        consts = alg.top_slice_constants()
+        assert alg.top_slice_constants() is consts
+        assert alg.multiplication_matrix(alg.to_top_slice(alg.unity())) == la.identity(
+            alg.field, alg.rank)
+        assert alg.top_slice_constants() is consts
+
+    def test_constants_are_slice_products(self):
+        for alg in rational_algebras()[:8] + [builtin_algebra("cpn3-f2"), builtin_algebra("t2")]:
+            consts = alg.top_slice_constants()
+            els = slice_basis(alg)
+            for i in range(alg.rank):
+                for j in range(alg.rank):
+                    coords = alg.to_top_slice(qprod(alg, els[i], els[j]))
+                    assert consts[i][j] == {k: c for k, c in enumerate(coords) if not c.is_zero()}
+
+    def test_trace_form_matches_oracle(self):
+        algs = rational_algebras()
+        assert max(a.rank for a in algs) == 12
+        for alg in algs:
+            assert qm._trace_form(alg) == trace_form_oracle(alg), alg.name
+
+    def test_associativity_matches_oracle(self):
+        cpn2 = builtin_algebra("cpn2-q")
+        two = NovikovScalar.constant(QMODEL, 2)
+        table = dict(cpn2.table)
+        table[(1, 1)] = {k: lam.scale(two) for k, lam in table[(1, 1)].items()}
+        broken = QuantumAlgebra(QMODEL, cpn2.basis, cpn2.gamma, table, cpn2.kappa)
+        assert associativity_oracle(broken)
+        for alg in (cpn2, broken, builtin_algebra("quadric"), builtin_algebra("cpn3-f2"),
+                    kunneth(builtin_algebra("s2"), builtin_algebra("cpn2-q"))):
+            assert alg.check_axioms() == alg.check_axioms(deep=False) + associativity_oracle(alg)

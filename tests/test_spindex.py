@@ -110,14 +110,15 @@ class TestRotationOracles:
             whole = MatrixPath(1, [(rotation_generator(1) * t1, 1.0),
                                    (rotation_generator(1) * t2, 1.0)])
             lhs = ind(whole, v)
-            # second piece alone, recomputed against the rotated line
+            # Robbin-Salamon catenation: the first piece against v plus the
+            # second piece, started from the rotated line, against v; an
+            # endpoint crossing at the split counts half on each side
+            second = rot(t2)
+            start = rot(t1).end() @ v.columns
             a = ind(rot(t1), v)
-            v2 = LagrangianFrame(rot(t1).end() @ v.columns)
-            b = rs_index(FrameIsotopy(
-                lambda t: rot(t2).value(t) @ rot(t1).end() @ v.columns,
-                lambda t: rot(t2).derivative(t) @ rot(t1).end() @ v.columns, 1), v)
-            # endpoint crossings of the split are counted half on each side;
-            # compare against the unsplit value via the closed form instead
+            b = rs_index(FrameIsotopy(lambda t: second.value(t) @ start,
+                                      lambda t: second.derivative(t) @ start, 1), v)
+            assert a + b == lhs
             assert lhs == rotation_rs_oracle(t1 + t2)
 
 
