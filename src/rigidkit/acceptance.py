@@ -311,6 +311,7 @@ def suite_index(seed=0, trials=None):
 def suite_toric(seed=0, trials=None):
     """Displaceability thresholds and special-point checks on the built-ins."""
     from .toric import (
+        ToricError,
         ball_subpolytope,
         builtin_moment_data,
         special_point,
@@ -348,7 +349,7 @@ def suite_toric(seed=0, trials=None):
             ok = spec == expect and interior
             details[f"pspec_{name}"] = {"value": [str(x) for x in spec],
                                         "interior": interior}
-        except Exception as e:
+        except ToricError as e:
             ok = False
             details[f"pspec_{name}"] = {"error": str(e)}
         passed &= ok

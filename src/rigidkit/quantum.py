@@ -282,7 +282,7 @@ class QuantumAlgebra:
 
 
 def qprod(algebra: QuantumAlgebra, x: QHElement, y: QHElement) -> QHElement:
-    if x.algebra != algebra or y.algebra != algebra:
+    if any(z.algebra is not algebra and z.algebra != algebra for z in (x, y)):
         raise AlgebraError("elements of a different algebra")
     out = {}
     for i, li in x.coeffs.items():

@@ -136,11 +136,16 @@ def extreme_points(points, dim=None):
     if k == 1:
         xs = [p[0] for p in pts]
         return sorted({xs.index(min(xs)), xs.index(max(xs))})
-    facets = convex_hull_facets(pts, k)
+    return extreme_indices(convex_hull_facets(pts, k), len(pts), k)
+
+
+def extreme_indices(facets, count, dim):
+    """Indices in range(count) of the points whose active facet normals
+    (from convex_hull_facets) have rank dim, i.e. the vertices of the hull."""
     out = []
-    for i in range(len(pts)):
+    for i in range(count):
         active = [n for (n, c, mem) in facets if i in mem]
-        if active and mat_rank(active) == k:
+        if active and mat_rank(active) == dim:
             out.append(i)
     return out
 

@@ -15,6 +15,11 @@ complement W of L(t0).  Signatures of regular crossings are summed, with
 half weight at the endpoints.  Non-regular configurations are retried
 after pre-composing with a small uniform rotation.
 
+Every index is one rs_index call on the orbit A_t span(Z) of a fixed
+Lagrangian frame: Ind(A, V) is the orbit of V against V, the Conley-Zehnder
+index the orbit of the diagonal under {I (+) A_t} (the graph path) against
+the diagonal.  Tolerances are DEFAULT_TOLS; grids are sized from the path.
+
 Crossings are located on sample grids of a normalized determinant.  Each
 grid is evaluated in blocks of _GRID_BLOCK samples: the paths return their
 values at a whole block as one stacked (N, n, n) array, and the frames of
@@ -85,8 +90,8 @@ def doubled_omega(k: int) -> np.ndarray:
     return np.block([[-o, z], [z, o]])
 
 
-def is_symplectic(a: np.ndarray, omega=None, tol=None) -> bool:
-    tol = DEFAULT_TOLS["structure"] if tol is None else tol
+def is_symplectic(a: np.ndarray, omega=None) -> bool:
+    tol = DEFAULT_TOLS["structure"]
     n = a.shape[0]
     if omega is None:
         omega = omega_matrix(n // 2)
@@ -113,8 +118,8 @@ class SymplecticMatrix:
 class LagrangianFrame:
     """2k x k frame whose columns span a Lagrangian subspace."""
 
-    def __init__(self, columns, omega=None, tol=None):
-        tol = DEFAULT_TOLS["structure"] if tol is None else tol
+    def __init__(self, columns, omega=None):
+        tol = DEFAULT_TOLS["structure"]
         z = np.asarray(columns, dtype=float)
         if z.ndim != 2 or z.shape[0] != 2 * z.shape[1]:
             raise IndexError_("frame must be 2k x k")
@@ -191,8 +196,8 @@ class MatrixPath:
     Durations are normalized so the whole path is parametrized by [0, 1].
     """
 
-    def __init__(self, k, segments, tol=None):
-        tol = DEFAULT_TOLS["structure"] if tol is None else tol
+    def __init__(self, k, segments):
+        tol = DEFAULT_TOLS["structure"]
         self.k = int(k)
         segs = []
         for s, dur in segments:
@@ -246,9 +251,6 @@ class MatrixPath:
     def end(self) -> np.ndarray:
         return self._starts[-1]
 
-    def is_loop(self, tol=1e-6) -> bool:
-        return bool(np.max(np.abs(self.end() - np.eye(2 * self.k))) < tol)
-
     def reparametrized(self, weights):
         """Same image path traversed with new positive segment durations.
 
@@ -266,12 +268,6 @@ class MatrixPath:
         j = self._j
         segs = [(j @ b @ j @ s @ j @ b.T @ j, d) for s, d in self.segments]
         return MatrixPath(self.k, segs)
-
-    def doubled(self) -> "DoubledPath":
-        return DoubledPath(self)
-
-    def product(self, other: "MatrixPath") -> "ProductPath":
-        return ProductPath(self, other)
 
 
 class ProductPath:
@@ -295,9 +291,6 @@ class ProductPath:
 
     def end(self):
         return self.a.end() @ self.b.end()
-
-    def is_loop(self, tol=1e-6):
-        return bool(np.max(np.abs(self.end() - np.eye(2 * self.k))) < tol)
 
 
 class RotatedPath:
@@ -355,23 +348,25 @@ class DoubledPath:
 
 
 class FrameIsotopy:
-    """Lagrangian path L(t) = span(Z(t)) with exact derivative.
+    """Lagrangian path L(t) = A_t span(Z): a matrix path acting on a fixed
+    Lagrangian frame Z, with exact derivative; k and the symplectic form
+    are those of the frame."""
 
-    frames_fn, when given, maps an array of N parameters to the (N, n, k)
-    stack of their frames; without it frames() stacks frame_fn calls.
-    """
+    def __init__(self, path, frame: LagrangianFrame):
+        self.path = path
+        self.columns = frame.columns
+        self.k = frame.k
+        self.omega = frame.omega
 
-    def __init__(self, frame_fn, dframe_fn, k, omega=None, frames_fn=None):
-        self.frame = frame_fn
-        self.dframe = dframe_fn
-        self.k = k
-        self.omega = omega_matrix(k) if omega is None else omega
-        self._frames = frames_fn
+    def frame(self, t) -> np.ndarray:
+        return self.path.value(t) @ self.columns
+
+    def dframe(self, t) -> np.ndarray:
+        return self.path.derivative(t) @ self.columns
 
     def frames(self, ts) -> np.ndarray:
-        if self._frames is not None:
-            return self._frames(np.asarray(ts, dtype=float))
-        return np.stack([self.frame(t) for t in ts])
+        """Frames at every t in ts, stacked as an (N, n, k) array."""
+        return self.path.values(np.asarray(ts, dtype=float)) @ self.columns
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +403,8 @@ def _det_indicators(m: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.divide(d, denom, out=np.zeros_like(d), where=denom > 0)
 
 
-def _kernel_coefficients(beta: np.ndarray, tol):
+def _kernel_coefficients(beta: np.ndarray):
+    tol = DEFAULT_TOLS["eig_zero"]
     u, s, vt = np.linalg.svd(beta)
     scale = s[0] if s[0] > 0 else 1.0
     null = [vt[i] for i in range(len(s)) if s[i] <= tol * max(1.0, scale)]
@@ -417,15 +413,15 @@ def _kernel_coefficients(beta: np.ndarray, tol):
     return null
 
 
-def crossing_form(iso: FrameIsotopy, v_frame: np.ndarray, t0: float, tols=None):
+def crossing_form(iso: FrameIsotopy, v_frame: np.ndarray, t0: float):
     """(kernel_dim, signature) of the crossing form at t0, via the standard
     derivative formula with W = J * L(t0) as the complement of L(t0)."""
-    tols = tols or DEFAULT_TOLS
+    tols = DEFAULT_TOLS
     z = iso.frame(t0)
     dz = iso.dframe(t0)
     n2, k = z.shape
     beta = np.linalg.solve(_indicator_basis(v_frame), z)[k:, :]
-    null = _kernel_coefficients(beta, tols["eig_zero"])
+    null = _kernel_coefficients(beta)
     if not null:
         raise RegularityError("no kernel found at a reported crossing")
     om = iso.omega
@@ -455,12 +451,13 @@ def crossing_form(iso: FrameIsotopy, v_frame: np.ndarray, t0: float, tols=None):
     return kerdim, sig
 
 
-def _find_crossings(iso: FrameIsotopy, v_frame: np.ndarray, samples, tols):
+def _find_crossings(iso: FrameIsotopy, v_frame: np.ndarray, samples):
     """Crossing parameters in [0, 1] located from a sample grid of the
     determinant indicator: sign changes refined by bisection, tangential
     touches by golden-section minimization of |f|.  Thresholds are relative
     to the largest indicator value along the path, so uniformly small
     indicators (tiny regularizations) are handled correctly."""
+    tols = DEFAULT_TOLS
     ts = samples
     m = _indicator_basis(v_frame)
     fs = np.concatenate([_det_indicators(m, iso.frames(ts[i:i + _GRID_BLOCK]))
@@ -552,23 +549,22 @@ def _samples_for(hint: float) -> int:
     return max(256, int(math.ceil(48 * hint)))
 
 
-def rs_index(iso: FrameIsotopy, v: LagrangianFrame, samples_per_unit=None,
-             tols=None, _raw=False):
+def rs_index(iso: FrameIsotopy, v: LagrangianFrame, _raw=False):
     """Robbin-Salamon index of a Lagrangian path against a fixed Lagrangian.
 
     Sum of the crossing-form signatures, halved at the endpoints; the
     result is snapped to the nearest half integer.  Raises RegularityError
     if a crossing stays degenerate (callers retry with a regularization).
     """
-    tols = tols or DEFAULT_TOLS
-    n = samples_per_unit or 256
+    tols = DEFAULT_TOLS
+    n = _samples_for(_sampling_hint(iso.path))
     # escalate the sample resolution until two consecutive levels agree on
     # the crossing set; close pairs of crossings are invisible to any fixed
     # grid, so agreement across resolutions is the acceptance test
     crossings = None
     for level in range(5):
         ts = np.linspace(0.0, 1.0, n + 1)
-        found = _find_crossings(iso, v.columns, ts, tols)
+        found = _find_crossings(iso, v.columns, ts)
         if crossings is not None and len(found) == len(crossings) and all(
                 abs(a - b) < 1e-6 for a, b in zip(found, crossings)):
             break
@@ -576,12 +572,13 @@ def rs_index(iso: FrameIsotopy, v: LagrangianFrame, samples_per_unit=None,
         n = 2 * n + 17
     total = 0.0
     records = []
+    eps = tols["bisection"]
     for t in crossings:
-        at_end = t <= tols["bisection"] or t >= 1.0 - tols["bisection"]
-        kd, sig = crossing_form(iso, v.columns, 0.0 if t <= tols["bisection"] else (1.0 if t >= 1 - tols["bisection"] else t), tols)
-        weight = 0.5 if at_end else 1.0
-        total += weight * sig
-        records.append(CrossingRecord(float(t), kd, sig, at_end))
+        # crossings within eps of an endpoint are evaluated there, at half weight
+        end = 0.0 if t <= eps else 1.0 if t >= 1.0 - eps else None
+        kd, sig = crossing_form(iso, v.columns, t if end is None else end)
+        total += (1.0 if end is None else 0.5) * sig
+        records.append(CrossingRecord(float(t), kd, sig, end is not None))
     snapped = round(total * 2) / 2
     if abs(total - snapped) > tols["snap"]:
         raise IndexError_(f"index not resolved: residual {abs(total - snapped):.2e}")
@@ -590,21 +587,25 @@ def rs_index(iso: FrameIsotopy, v: LagrangianFrame, samples_per_unit=None,
     return snapped
 
 
-def _with_regularization(compute, path_maker, tols):
-    """Run compute(path) retrying with shrinking uniform pre-rotations.
+def _regularized_index(maker, v: LagrangianFrame):
+    """rs_index of the orbit of v under maker(0.0), against v; retried with
+    the shrinking uniform pre-rotations maker(delta) if that is degenerate.
 
     The delta-rotated value is accepted once two consecutive deltas agree,
     which pins the documented regularized convention (delta -> 0+).
     """
+    def compute(delta):
+        return rs_index(FrameIsotopy(maker(delta), v), v)
+
     try:
-        return compute(path_maker(0.0))
+        return compute(0.0)
     except RegularityError:
         pass
     delta = 1e-3
     prev = None
     for _ in range(8):
         try:
-            val = compute(path_maker(delta))
+            val = compute(delta)
         except RegularityError:
             delta *= 0.5
             continue
@@ -617,78 +618,21 @@ def _with_regularization(compute, path_maker, tols):
     raise RegularityError("regularization retries exhausted")
 
 
-def ind(path, v: LagrangianFrame, tols=None):
+def ind(path, v: LagrangianFrame):
     """Ind(path, V) = RS({A_t V}, V) with delta-rotation regularization."""
-    tols = tols or DEFAULT_TOLS
-
-    def maker(delta):
-        return path if delta == 0.0 else RotatedPath(path, delta)
-
-    def compute(p):
-        iso = _from_path_like(p, v)
-        return rs_index(iso, v, samples_per_unit=_samples_for(_sampling_hint(p)),
-                        tols=tols)
-
-    return _with_regularization(compute, maker, tols)
+    return _regularized_index(lambda d: RotatedPath(path, d) if d else path, v)
 
 
-def _from_path_like(p, frame: LagrangianFrame):
-    z0 = frame.columns
-    return FrameIsotopy(lambda t: p.value(t) @ z0, lambda t: p.derivative(t) @ z0,
-                        frame.k, omega=frame.omega, frames_fn=lambda ts: p.values(ts) @ z0)
-
-
-def cz_matr(path, tols=None):
+def cz_matr(path):
     """Conley-Zehnder index: RS of the graph path against the diagonal."""
-    tols = tols or DEFAULT_TOLS
-    k = path.k
-    delta_frame = LagrangianFrame.diagonal(k)
-
-    def maker(delta):
-        return path if delta == 0.0 else RotatedPath(path, delta)
-
-    def compute(p):
-        iso = _graph_isotopy(p)
-        return rs_index(iso, delta_frame,
-                        samples_per_unit=_samples_for(_sampling_hint(p)), tols=tols)
-
-    return _with_regularization(compute, maker, tols)
+    return _regularized_index(lambda d: DoubledPath(RotatedPath(path, d) if d else path),
+                              LagrangianFrame.diagonal(path.k))
 
 
-def _graph_isotopy(p):
-    k = p.k
-
-    def frames(ts):
-        a = p.values(ts)
-        return np.concatenate([np.broadcast_to(np.eye(2 * k), a.shape), a], axis=1)
-
-    def frame(t):
-        return frames(np.array([t]))[0]
-
-    def dframe(t):
-        return np.vstack([np.zeros((2 * k, 2 * k)), p.derivative(t)])
-
-    return FrameIsotopy(frame, dframe, 2 * k, omega=doubled_omega(k), frames_fn=frames)
-
-
-def ind_doubled(path, tols=None):
+def ind_doubled(path):
     """Ind_{4k}({I (+) A_t}, Delta), the right side of the doubling identity."""
-    tols = tols or DEFAULT_TOLS
-    k = path.k
-    delta_frame = LagrangianFrame.diagonal(k)
-
-    def maker(delta):
-        base = DoubledPath(path)
-        if delta == 0.0:
-            return base
-        return _DoubledRotated(base, delta)
-
-    def compute(p):
-        iso = _from_path_like(p, delta_frame)
-        return rs_index(iso, delta_frame,
-                        samples_per_unit=_samples_for(_sampling_hint(p)), tols=tols)
-
-    return _with_regularization(compute, maker, tols)
+    return _regularized_index(lambda d: _DoubledRotated(DoubledPath(path), d) if d
+                              else DoubledPath(path), LagrangianFrame.diagonal(path.k))
 
 
 class _DoubledRotated:
@@ -713,7 +657,7 @@ class _DoubledRotated:
         return (self._j * self.delta) @ r @ self.base.value(t) + r @ self.base.derivative(t)
 
 
-def maslov_loop(path, tols=None):
+def maslov_loop(path):
     """Maslov index of an identity-based loop (even integer).
 
     Degenerate loops (e.g. the constant one) cannot be resolved by the
@@ -721,29 +665,45 @@ def maslov_loop(path, tols=None):
     by multiplying with full-twist loops of known index and subtracting:
     the Maslov index is additive on pointwise products of loops.
     """
-    tols = tols or DEFAULT_TOLS
-    if not path.is_loop(tol=1e-6):
+    tols = DEFAULT_TOLS
+    if not np.max(np.abs(path.end() - np.eye(2 * path.k))) < 1e-6:
         raise IndexError_("path does not close up at the identity")
-    val = cz_matr(path, tols=tols)
+    val = cz_matr(path)
     if abs(val - round(val)) <= tols["snap"] and int(round(val)) % 2 == 0:
         return int(round(val))
     for m in (1, 2, 3):
         twist = MatrixPath(path.k, [(rotation_generator(path.k) * 2 * math.pi * m, 1.0)])
-        val = cz_matr(ProductPath(twist, path), tols=tols) - 2 * m * path.k
+        val = cz_matr(ProductPath(twist, path)) - 2 * m * path.k
         if abs(val - round(val)) <= tols["snap"] and int(round(val)) % 2 == 0:
             return int(round(val))
     raise IndexError_(f"Maslov index not an even integer: {val}")
 
 
-def cz_floer(path, n, tols=None):
+def cz_floer(path, n):
     """n - cz_matr(path): the grading normalization used downstream."""
     if path.k != n:
         raise IndexError_("path dimension 2k must equal 2n")
-    return n - cz_matr(path, tols=tols)
+    return n - cz_matr(path)
 
 
 # ---------------------------------------------------------------------------
 # Leray composition formula
+
+def _transversal_f_block(a: np.ndarray):
+    """(n, F) for S = [[E, F], [G, H]]; raises unless F is invertible."""
+    n = a.shape[0] // 2
+    f = a[:n, n:]
+    if abs(np.linalg.det(f)) < 1e-12 * max(1.0, np.linalg.norm(f) ** n):
+        raise IndexError_("transversality fails: F block singular")
+    return n, f
+
+
+def _symmetric_part(q: np.ndarray, name: str) -> np.ndarray:
+    sym_defect = np.max(np.abs(q - q.T))
+    if sym_defect > 1e-7 * max(1.0, np.max(np.abs(q))):
+        raise IndexError_(f"{name} not symmetric (defect {sym_defect:.2e})")
+    return 0.5 * (q + q.T)
+
 
 def leray_q(a: np.ndarray):
     """Q_S = F^{-1} E from the block decomposition S = [[E, F], [G, H]].
@@ -751,15 +711,8 @@ def leray_q(a: np.ndarray):
     Requires S L & L = 0 for the q-coordinate plane L, i.e. F invertible.
     This is the first-corner Hessian of the generating function of S.
     """
-    n = a.shape[0] // 2
-    e, f = a[:n, :n], a[:n, n:]
-    if abs(np.linalg.det(f)) < 1e-12 * max(1.0, np.linalg.norm(f) ** n):
-        raise IndexError_("transversality fails: F block singular")
-    q = np.linalg.solve(f, e)
-    sym_defect = np.max(np.abs(q - q.T))
-    if sym_defect > 1e-7 * max(1.0, np.max(np.abs(q))):
-        raise IndexError_(f"Q_S not symmetric (defect {sym_defect:.2e})")
-    return 0.5 * (q + q.T)
+    n, f = _transversal_f_block(a)
+    return _symmetric_part(np.linalg.solve(f, a[:n, :n]), "Q_S")
 
 
 def leray_q_second(a: np.ndarray):
@@ -768,25 +721,17 @@ def leray_q_second(a: np.ndarray):
     Symmetric for symplectic S by the relation F^T H = H^T F; in the
     composition formula it is the form attached to the second factor.
     """
+    n, f = _transversal_f_block(a)
+    return _symmetric_part(a[n:, n:] @ np.linalg.inv(f), "Q*_S")
+
+
+def _transversal_to_l(a: np.ndarray) -> bool:
     n = a.shape[0] // 2
-    f, h = a[:n, n:], a[n:, n:]
-    if abs(np.linalg.det(f)) < 1e-12 * max(1.0, np.linalg.norm(f) ** n):
-        raise IndexError_("transversality fails: F block singular")
-    q = h @ np.linalg.inv(f)
-    sym_defect = np.max(np.abs(q - q.T))
-    if sym_defect > 1e-7 * max(1.0, np.max(np.abs(q))):
-        raise IndexError_(f"Q*_S not symmetric (defect {sym_defect:.2e})")
-    return 0.5 * (q + q.T)
+    s = np.linalg.svd(a[:n, n:], compute_uv=False)
+    return s[-1] > 1e-7 * max(1.0, s[0])
 
 
-def _transversal_to_l(a: np.ndarray, tol=1e-7) -> bool:
-    n = a.shape[0] // 2
-    f = a[:n, n:]
-    s = np.linalg.svd(f, compute_uv=False)
-    return s[-1] > tol * max(1.0, s[0])
-
-
-def leray_verify(a_path, b_path, tols=None):
+def leray_verify(a_path, b_path):
     """Both sides of the composition formula for Ind against the q-plane.
 
     lhs = Ind({A_t B_t}, L); rhs = Ind(A) + Ind(B) + sign(Q_A1 + Q*_B1)/2
@@ -797,7 +742,6 @@ def leray_verify(a_path, b_path, tols=None):
     coincide.  Raises when an endpoint transversality condition
     A1 L & L = 0, B1 L & L = 0, A1 B1 L & L = 0 fails.
     """
-    tols = tols or DEFAULT_TOLS
     if a_path.k != b_path.k:
         raise IndexError_("paths in different dimensions")
     k = a_path.k
@@ -807,12 +751,12 @@ def leray_verify(a_path, b_path, tols=None):
         if not _transversal_to_l(m):
             raise IndexError_(f"transversality fails: {name}")
     l_frame = LagrangianFrame.coordinate_plane(k, "q")
-    lhs = ind(ProductPath(a_path, b_path), l_frame, tols=tols)
-    ia = ind(a_path, l_frame, tols=tols)
-    ib = ind(b_path, l_frame, tols=tols)
+    lhs = ind(ProductPath(a_path, b_path), l_frame)
+    ia = ind(a_path, l_frame)
+    ib = ind(b_path, l_frame)
     qs = leray_q(a1) + leray_q_second(b1)
     eigs = np.linalg.eigvalsh(qs)
-    zero_tol = tols["eig_zero"] * max(1.0, float(np.max(np.abs(eigs))))
+    zero_tol = DEFAULT_TOLS["eig_zero"] * max(1.0, float(np.max(np.abs(eigs))))
     if any(abs(e) <= zero_tol for e in eigs):
         raise IndexError_("endpoint form Q_A1 + Q*_B1 is degenerate")
     sig = int(sum(1 for e in eigs if e > 0) - sum(1 for e in eigs if e < 0))
@@ -827,9 +771,9 @@ def leray_verify(a_path, b_path, tols=None):
     }
 
 
-def qm_defect(a_path, b_path, tols=None):
+def qm_defect(a_path, b_path):
     """|cz(ab) - cz(a) - cz(b)| for the pointwise product path."""
-    cab = cz_matr(ProductPath(a_path, b_path), tols=tols)
-    ca = cz_matr(a_path, tols=tols)
-    cb = cz_matr(b_path, tols=tols)
+    cab = cz_matr(ProductPath(a_path, b_path))
+    ca = cz_matr(a_path)
+    cb = cz_matr(b_path)
     return abs(cab - ca - cb)

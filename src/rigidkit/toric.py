@@ -15,6 +15,7 @@ from .rational_geometry import (
     centroid_and_volume,
     convex_hull_facets,
     dot,
+    extreme_indices,
     extreme_points,
     frac_vec,
     hull_edges,
@@ -51,10 +52,14 @@ class DelzantPolytope:
                 raise ToricError("vertex coordinate count mismatch")
         if len(vs) < self.dimension + 1:
             raise ToricError("too few vertices for a full-dimensional polytope")
-        try:
-            ext = extreme_points(vs, self.dimension)
-        except HullError as e:
-            raise ToricError(str(e)) from e
+        if self.dimension == 1:
+            ext = extreme_points(vs, 1)
+        else:
+            try:
+                raw = convex_hull_facets(vs, self.dimension)
+            except HullError as e:
+                raise ToricError(str(e)) from e
+            ext = extreme_indices(raw, len(vs), self.dimension)
         if sorted(ext) != list(range(len(vs))):
             bad = [i for i in range(len(vs)) if i not in ext]
             raise ToricError(
@@ -63,13 +68,11 @@ class DelzantPolytope:
         if self.dimension == 1:
             xs = sorted(v[0] for v in vs)
             self.facets = (((Fraction(1),), xs[0]), ((Fraction(-1),), -xs[1]))
-            self._facet_members = (frozenset([0]) if vs[0][0] == xs[0] else frozenset([1]),)
             self.edges = ((0, 1),)
             mem_lo = frozenset(i for i, v in enumerate(vs) if v[0] == xs[0])
             mem_hi = frozenset(i for i, v in enumerate(vs) if v[0] == xs[1])
             self._facet_members = (mem_lo, mem_hi)
         else:
-            raw = convex_hull_facets(vs, self.dimension)
             self.facets = tuple((n, c) for n, c, mem in raw)
             self._facet_members = tuple(mem for n, c, mem in raw)
             self.edges = tuple(hull_edges(vs, raw, self.dimension))

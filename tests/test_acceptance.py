@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rigidkit import acceptance, spindex
+from rigidkit import acceptance, spindex, toric
 
 
 def _run(name, budget, seed=0, **kw):
@@ -80,6 +80,19 @@ def test_criterion_5_toric():
     assert rep["pspec_cpn2"]["value"] == ["0", "0"]
     assert rep["pspec_s2xs2"]["value"] == ["0", "0"]
     assert rep["pspec_blowup"]["interior"]
+
+
+def test_toric_suite_lets_unexpected_errors_propagate(monkeypatch):
+    monkeypatch.setattr(toric, "special_point", _raise(RuntimeError))
+    with pytest.raises(RuntimeError, match="injected"):
+        acceptance.suite_toric(seed=0)
+
+
+def test_toric_suite_reports_toric_errors(monkeypatch):
+    monkeypatch.setattr(toric, "special_point", _raise(toric.ToricError))
+    rep = acceptance.suite_toric(seed=0)
+    assert rep["pspec_cpn2"] == {"error": "injected"}
+    assert not rep["passed"]
 
 
 def test_criterion_6_model_quasi_state():

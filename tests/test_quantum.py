@@ -97,6 +97,28 @@ def test_divide_unity_and_zero_divisor(quadric):
     assert divide(toy, x, toy.unity()) is None
 
 
+def test_qprod_accepts_equal_distinct_algebras(quadric):
+    other = quadric_surface(Fr(1, 2))
+    assert other is not quadric and other == quadric
+    a, b = other.basis_element(1), other.basis_element(2)
+    assert qprod(quadric, a, b) == quadric.point()
+    with pytest.raises(AlgebraError):
+        qprod(quadric, sphere().unity(), b)
+
+
+def test_qprod_same_algebra_skips_value_comparison(quadric, monkeypatch):
+    calls = []
+
+    def counting_eq(self, other):
+        calls.append(other)
+        return True
+
+    a, b = quadric.basis_element(1), quadric.basis_element(2)
+    monkeypatch.setattr(QuantumAlgebra, "__eq__", counting_eq)
+    qprod(quadric, a, b)
+    assert calls == []
+
+
 def torus_like_toy():
     basis = GradedBasis(("one", "x"), (2, 0), 2, 0, 1)
     return QuantumAlgebra(QMODEL, basis, PeriodGroup.trivial(),

@@ -7,7 +7,6 @@ from scipy.linalg import expm
 from rigidkit import spindex
 from rigidkit.corpus import random_matrix_path, random_symplectic
 from rigidkit.spindex import (
-    DEFAULT_TOLS,
     DoubledPath,
     FrameIsotopy,
     IndexError_,
@@ -98,8 +97,7 @@ class TestRotationOracles:
         k = 1
         q_plane = LagrangianFrame.coordinate_plane(k, "q")
         p_plane = LagrangianFrame.coordinate_plane(k, "p")
-        iso = FrameIsotopy(lambda t: q_plane.columns,
-                           lambda t: np.zeros_like(q_plane.columns), k)
+        iso = FrameIsotopy(MatrixPath(k, []), q_plane)
         assert rs_index(iso, p_plane) == 0.0
 
     def test_concatenation_additivity(self):
@@ -114,10 +112,9 @@ class TestRotationOracles:
             # second piece, started from the rotated line, against v; an
             # endpoint crossing at the split counts half on each side
             second = rot(t2)
-            start = rot(t1).end() @ v.columns
+            start = LagrangianFrame(rot(t1).end() @ v.columns)
             a = ind(rot(t1), v)
-            b = rs_index(FrameIsotopy(lambda t: second.value(t) @ start,
-                                      lambda t: second.derivative(t) @ start, 1), v)
+            b = rs_index(FrameIsotopy(second, start), v)
             assert a + b == lhs
             assert lhs == rotation_rs_oracle(t1 + t2)
 
@@ -341,6 +338,25 @@ def reference_doubled(a):
     return out
 
 
+class ReferenceGraphIsotopy:
+    """The graph path {Gr A_t} built by hand: frames [I; A_t] and
+    derivatives [0; dA_t/dt] in the doubled space."""
+
+    def __init__(self, p):
+        self.path, self.k, self.omega = p, 2 * p.k, doubled_omega(p.k)
+
+    def frames(self, ts):
+        a = self.path.values(np.asarray(ts, dtype=float))
+        return np.concatenate([np.broadcast_to(np.eye(2 * self.path.k), a.shape), a], axis=1)
+
+    def frame(self, t):
+        return self.frames(np.array([t]))[0]
+
+    def dframe(self, t):
+        n = 2 * self.path.k
+        return np.vstack([np.zeros((n, n)), self.path.derivative(t)])
+
+
 def reference_det_indicator(z, v):
     """The per-sample crossing indicator: QR complement of v, one solve and
     one det per frame z."""
@@ -424,41 +440,52 @@ class TestBatchedPaths:
         ts = np.linspace(-0.1, 1.1, 301)
         for k in (1, 2):
             p = ProductPath(random_matrix_path(rng, k), random_matrix_path(rng, k))
-            cases = [(spindex._graph_isotopy(p), LagrangianFrame.diagonal(k).columns)]
+            diagonal = LagrangianFrame.diagonal(k)
+            cases = [(FrameIsotopy(DoubledPath(p), diagonal), diagonal.columns)]
             for which in ("p", "q"):
                 v = LagrangianFrame.coordinate_plane(k, which)
-                cases.append((spindex._from_path_like(p, v), v.columns))
+                cases.append((FrameIsotopy(p, v), v.columns))
             for iso, v in cases:
                 got = spindex._det_indicators(spindex._indicator_basis(v), iso.frames(ts))
                 ref = np.array([reference_det_indicator(iso.frame(t), v) for t in ts])
                 assert np.max(np.abs(got - ref)) <= 1e-12
 
-    def test_frames_without_batched_function(self):
-        p = random_matrix_path(np.random.default_rng(23), 1)
-        v = LagrangianFrame.coordinate_plane(1, "q").columns
-        iso = FrameIsotopy(lambda t: p.value(t) @ v, lambda t: p.derivative(t) @ v, 1)
-        ts = np.linspace(0.0, 1.0, 7)
-        assert_close(iso.frames(ts), p.values(ts) @ v)
+    def test_graph_path_is_doubled_orbit_of_the_diagonal(self):
+        # [[I, 0], [0, A]] [I; I] = [I; A] with products by 0 and 1 only, so
+        # the orbit reproduces the hand-built graph frames exactly
+        ts = np.linspace(-0.1, 1.1, 61)
+        for k in (1, 2):
+            diagonal = LagrangianFrame.diagonal(k)
+            for seed in range(4):
+                p = random_matrix_path(np.random.default_rng([25, k, seed]), k)
+                for base in (p, RotatedPath(p, 1e-3)):
+                    ref = ReferenceGraphIsotopy(base)
+                    iso = FrameIsotopy(DoubledPath(base), diagonal)
+                    assert np.array_equal(iso.frames(ts), ref.frames(ts))
+                    for t in ts:
+                        assert np.array_equal(iso.frame(t), ref.frame(t))
+                        assert np.array_equal(iso.dframe(t), ref.dframe(t))
+                    assert (rs_index(iso, diagonal, _raw=True)
+                            == rs_index(ref, diagonal, _raw=True))
 
     def test_crossings_independent_of_block_size(self, monkeypatch):
         rng = np.random.default_rng(24)
         v = LagrangianFrame.coordinate_plane(1, "p")
         paths = [rot(math.pi), rot(2 * math.pi)] + [random_matrix_path(rng, 1) for _ in range(4)]
         for p in paths:
-            iso = spindex._from_path_like(p, v)
+            iso = FrameIsotopy(p, v)
             for n in (256, 1000):
                 ts = np.linspace(0.0, 1.0, n + 1)
                 found = []
                 for block in (1, 7, 256, n + 1):
                     monkeypatch.setattr(spindex, "_GRID_BLOCK", block)
-                    found.append(spindex._find_crossings(iso, v.columns, ts, DEFAULT_TOLS))
+                    found.append(spindex._find_crossings(iso, v.columns, ts))
                 assert all(f == found[-1] for f in found)
         # the half and full turns return to V at t = 1, the last grid sample
         monkeypatch.undo()
         ts = np.linspace(0.0, 1.0, 257)
         for p, expected in ((rot(math.pi), [0.0, 1.0]), (rot(2 * math.pi), [0.0, 0.5, 1.0])):
-            found = spindex._find_crossings(spindex._from_path_like(p, v), v.columns, ts,
-                                            DEFAULT_TOLS)
+            found = spindex._find_crossings(FrameIsotopy(p, v), v.columns, ts)
             assert found == pytest.approx(expected, abs=1e-9)
 
 

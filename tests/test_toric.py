@@ -2,6 +2,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from rigidkit import rational_geometry, toric
 from rigidkit.rational_geometry import (
     centroid_and_volume,
     convex_hull_facets,
@@ -52,6 +53,21 @@ class TestPolytopeBasics:
     def test_non_extreme_point_rejected(self):
         with pytest.raises(ToricError, match="extreme"):
             DelzantPolytope(2, [(0, 0), (1, 0), (0, 1), (Fr(1, 4), Fr(1, 4))])
+
+    def test_construction_enumerates_the_hull_once(self, monkeypatch):
+        calls = []
+        real = rational_geometry.convex_hull_facets
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rational_geometry, "convex_hull_facets", counting)
+        monkeypatch.setattr(toric, "convex_hull_facets", counting)
+        p = DelzantPolytope(3, [(x, y, z) for x in (0, 1) for y in (0, 1)
+                                for z in (0, 1)])
+        assert len(calls) == 1
+        assert len(p.facets) == 6 and len(p.edges) == 12
 
     def test_degenerate_rejected(self):
         with pytest.raises(ToricError):
