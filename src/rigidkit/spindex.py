@@ -20,12 +20,18 @@ Lagrangian frame: Ind(A, V) is the orbit of V against V, the Conley-Zehnder
 index the orbit of the diagonal under {I (+) A_t} (the graph path) against
 the diagonal.  Tolerances are DEFAULT_TOLS; grids are sized from the path.
 
-Crossings are located on sample grids of a normalized determinant.  Each
+Crossings are located on sample grids of a normalized determinant.  A
 grid is evaluated in blocks of _GRID_BLOCK samples: the paths return their
 values at a whole block as one stacked (N, n, n) array, and the frames of
 the block are solved against the fixed basis [V | complement of V] (built
-once per grid) in one stacked solve and one stacked determinant.  Sign
-changes and dips found on the grid are then refined one sample at a time.
+once per path) in one stacked solve and one stacked determinant.  Sign
+changes are refined by bisection and dips by golden-section search, in
+stacked rounds: the points either search visits next depend only on which
+side each step keeps, so each round evaluates the next _SPEC_DEPTH levels
+of every search's branch tree in one stacked call, and the searches then
+step through exactly the values they would have read one at a time.  The
+stacked values equal the one-sample values bit for bit, so every crossing
+is the same float either way.
 """
 
 from __future__ import annotations
@@ -45,9 +51,14 @@ DEFAULT_TOLS = {
     "det_zero": 1e-10,     # normalized determinant zero threshold
 }
 
-# grid samples per stacked solve/det in the crossing search: bounds the
-# memory of one grid evaluation independently of the grid size
-_GRID_BLOCK = 256
+# samples per stacked solve/det in the crossing search: bounds the memory
+# of one evaluation independently of the grid size; the first two grid
+# levels of most paths (257 + 530 samples) fit in one block
+_GRID_BLOCK = 1024
+# branch depth of the probe tree each bisection or golden-section search
+# lists for one stacked refinement round
+_SPEC_DEPTH = 4
+_PHI = (math.sqrt(5) - 1) / 2
 
 
 class IndexError_(ValueError):
@@ -313,9 +324,6 @@ class RotatedPath:
         r = self._exp.at(t)
         return (self._j * self.delta) @ r @ self.base.value(t) + r @ self.base.derivative(t)
 
-    def end(self):
-        return self.value(1.0)
-
 
 class DoubledPath:
     """{I (+) A_t} acting on the doubled space; its orbit of the diagonal
@@ -342,9 +350,6 @@ class DoubledPath:
         out = np.zeros((2 * n, 2 * n))
         out[n:, n:] = da
         return out
-
-    def end(self):
-        return self.value(1.0)
 
 
 class FrameIsotopy:
@@ -451,85 +456,192 @@ def crossing_form(iso: FrameIsotopy, v_frame: np.ndarray, t0: float):
     return kerdim, sig
 
 
+class _Bisection:
+    """Bisection of a sign change of the indicator on [a, b], kept as a state
+    so that it can run ahead on values evaluated in advance.  The midpoints
+    depend only on which half each step keeps, so probes() lists them for
+    the next _SPEC_DEPTH steps without knowing any value."""
+
+    def __init__(self, a, b, fa, zero):
+        self.a, self.b, self.fa, self.zero = a, b, fa, zero
+        self.steps = 0
+        self.t = None
+
+    def probes(self):
+        out = []
+
+        def walk(a, b, depth):
+            if (b - a) < DEFAULT_TOLS["bisection"]:
+                return
+            m = 0.5 * (a + b)
+            out.append(m)
+            if depth > 1:
+                walk(a, m, depth - 1)
+                walk(m, b, depth - 1)
+
+        walk(self.a, self.b, _SPEC_DEPTH)
+        return out
+
+    def advance(self, f) -> bool:
+        """Run steps while the dict f holds the next midpoint; True once the
+        search has its crossing t."""
+        while self.steps < 200:
+            m = 0.5 * (self.a + self.b)
+            if (self.b - self.a) < DEFAULT_TOLS["bisection"]:
+                self.t = m
+                return True
+            if m not in f:
+                return False
+            fm = f[m]
+            if abs(fm) <= self.zero:
+                self.t = m
+                return True
+            if (self.fa < 0) != (fm < 0):
+                self.b = m
+            else:
+                self.a, self.fa = m, fm
+            self.steps += 1
+        self.t = 0.5 * (self.a + self.b)
+        return True
+
+
+class _GoldenSection:
+    """Golden-section minimization of |indicator| on [a, b], kept as a state
+    like _Bisection: each step adds one point, fixed by which side it keeps.
+    The result t comes with its value ft, the acceptance test of a dip."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.x1, self.x2 = b - _PHI * (b - a), a + _PHI * (b - a)
+        self.f1 = self.f2 = None
+        self.t = self.ft = None
+
+    def probes(self):
+        out = [x for x, fx in ((self.x1, self.f1), (self.x2, self.f2)) if fx is None]
+
+        def walk(a, b, x1, x2, depth):
+            if not (b - a) > DEFAULT_TOLS["bisection"]:
+                out.append(0.5 * (a + b))
+                return
+            if depth == 0:
+                return
+            x1_left = x2 - _PHI * (x2 - a)
+            out.append(x1_left)
+            walk(a, x2, x1_left, x1, depth - 1)
+            x2_right = x1 + _PHI * (b - x1)
+            out.append(x2_right)
+            walk(x1, b, x2, x2_right, depth - 1)
+
+        walk(self.a, self.b, self.x1, self.x2, _SPEC_DEPTH)
+        return out
+
+    def advance(self, f) -> bool:
+        """Run steps while the dict f holds the next point; True once t and
+        ft are known."""
+        while True:
+            if self.f1 is None:
+                if self.x1 not in f:
+                    return False
+                self.f1 = abs(f[self.x1])
+            if self.f2 is None:
+                if self.x2 not in f:
+                    return False
+                self.f2 = abs(f[self.x2])
+            if not (self.b - self.a) > DEFAULT_TOLS["bisection"]:
+                t = 0.5 * (self.a + self.b)
+                if t not in f:
+                    return False
+                self.t, self.ft = t, f[t]
+                return True
+            if self.f1 <= self.f2:
+                self.b, self.x2, self.f2 = self.x2, self.x1, self.f1
+                self.x1, self.f1 = self.b - _PHI * (self.b - self.a), None
+            else:
+                self.a, self.x1, self.f1 = self.x1, self.x2, self.f2
+                self.x2, self.f2 = self.a + _PHI * (self.b - self.a), None
+
+
+class _GridScan:
+    """What one sample grid of the indicator shows: zeros on the samples,
+    and the searches that refine its sign changes and its dips.  Thresholds
+    are relative to the largest indicator value along the path, so
+    uniformly small indicators (tiny regularizations) are handled correctly."""
+
+    def __init__(self, ts, fs):
+        absf = np.abs(fs)
+        fmax = float(np.max(absf))
+        if fmax == 0.0:
+            raise RegularityError("path appears to lie inside the crossing variety")
+        zero = DEFAULT_TOLS["det_zero"] * fmax
+        near = absf <= zero
+        if np.count_nonzero(near) > len(ts) // 2:
+            raise RegularityError("path appears to lie inside the crossing variety")
+        self.found = set()
+        if near[0]:
+            self.found.add(0.0)
+        if near[-1]:
+            self.found.add(1.0)
+        neg, far = fs < 0, ~near
+        self.bisections = [_Bisection(ts[i], ts[i + 1], fs[i], zero) for i in
+                           np.flatnonzero((neg[:-1] != neg[1:]) & far[:-1] & far[1:])]
+        # tangential crossings: refine every local minimum of |f| that dips
+        # well below the path scale, accept if the refined value is zero-like
+        gate = 0.05 * fmax
+        inner = absf[1:-1]
+        self.dips = []
+        for i in np.flatnonzero((inner <= absf[:-2]) & (inner <= absf[2:]) & (inner < gate)) + 1:
+            if near[i]:
+                self.found.add(float(ts[i]))
+            else:
+                self.dips.append(_GoldenSection(ts[i - 1], ts[i + 1]))
+        self.accept = max(zero, 1e-14 * fmax)
+
+    def crossings(self):
+        found = self.found | {s.t for s in self.bisections}
+        found |= {s.t for s in self.dips if abs(s.ft) <= self.accept}
+        # merge refinements of the same zero (bisection and min-search can land
+        # within ~1e-7 of each other on a single simple crossing)
+        merge_tol = max(1e-6, 10 * DEFAULT_TOLS["bisection"])
+        out = []
+        for t in sorted(found):
+            if out and abs(t - out[-1]) < merge_tol:
+                continue
+            out.append(t)
+        return out
+
+
+def _indicators(iso: FrameIsotopy, m: np.ndarray, ts) -> np.ndarray:
+    """Indicator values at every t in ts, in stacked blocks of _GRID_BLOCK."""
+    ts = np.asarray(ts, dtype=float)
+    return np.concatenate([_det_indicators(m, iso.frames(ts[i:i + _GRID_BLOCK]))
+                           for i in range(0, len(ts), _GRID_BLOCK)])
+
+
+def _crossing_levels(iso: FrameIsotopy, v_frame: np.ndarray, grids):
+    """_find_crossings on several grids of one path at once.  The grids are
+    evaluated as one stack and checked for regularity in order; then every
+    search of every grid advances in the same stacked rounds.  A round
+    evaluates the probe trees of all unfinished searches in one call, and
+    each search takes the steps whose values it now has.  Each search reads
+    exactly the values and takes exactly the steps it would take alone."""
+    m = _indicator_basis(v_frame)
+    fs = _indicators(iso, m, np.concatenate(grids))
+    bounds = np.cumsum([len(ts) for ts in grids])[:-1]
+    scans = [_GridScan(ts, f) for ts, f in zip(grids, np.split(fs, bounds))]
+    searches = [s for scan in scans for s in scan.bisections + scan.dips]
+    values = {}
+    while searches:
+        ts = sorted({t for s in searches for t in s.probes()} - values.keys())
+        values.update(zip(ts, _indicators(iso, m, ts)))
+        searches = [s for s in searches if not s.advance(values)]
+    return [scan.crossings() for scan in scans]
+
+
 def _find_crossings(iso: FrameIsotopy, v_frame: np.ndarray, samples):
     """Crossing parameters in [0, 1] located from a sample grid of the
     determinant indicator: sign changes refined by bisection, tangential
-    touches by golden-section minimization of |f|.  Thresholds are relative
-    to the largest indicator value along the path, so uniformly small
-    indicators (tiny regularizations) are handled correctly."""
-    tols = DEFAULT_TOLS
-    ts = samples
-    m = _indicator_basis(v_frame)
-    fs = np.concatenate([_det_indicators(m, iso.frames(ts[i:i + _GRID_BLOCK]))
-                         for i in range(0, len(ts), _GRID_BLOCK)])
-    absf = np.abs(fs)
-    fmax = float(np.max(absf))
-    if fmax == 0.0:
-        raise RegularityError("path appears to lie inside the crossing variety")
-    zero = tols["det_zero"] * fmax
-    near = absf <= zero
-    if np.count_nonzero(near) > len(ts) // 2:
-        raise RegularityError("path appears to lie inside the crossing variety")
-    crossings = set()
-
-    def f_at(t):
-        return _det_indicators(m, iso.frames([t]))[0]
-
-    def bisect(a, b, fa, fb):
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = f_at(m)
-            if abs(fm) <= zero or (b - a) < tols["bisection"]:
-                return m
-            if (fa < 0) != (fm < 0):
-                b, fb = m, fm
-            else:
-                a, fa = m, fm
-        return 0.5 * (a + b)
-
-    def refine_min(a, b):
-        phi = (math.sqrt(5) - 1) / 2
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        f1, f2 = abs(f_at(x1)), abs(f_at(x2))
-        while (b - a) > tols["bisection"]:
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - phi * (b - a)
-                f1 = abs(f_at(x1))
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + phi * (b - a)
-                f2 = abs(f_at(x2))
-        return 0.5 * (a + b)
-
-    if near[0]:
-        crossings.add(0.0)
-    if near[-1]:
-        crossings.add(1.0)
-    neg, far = fs < 0, ~near
-    for i in np.flatnonzero((neg[:-1] != neg[1:]) & far[:-1] & far[1:]):
-        crossings.add(bisect(ts[i], ts[i + 1], fs[i], fs[i + 1]))
-    # tangential crossings: refine every local minimum of |f| that dips
-    # well below the path scale, accept if the refined value is zero-like
-    gate = 0.05 * fmax
-    inner = absf[1:-1]
-    for i in np.flatnonzero((inner <= absf[:-2]) & (inner <= absf[2:]) & (inner < gate)) + 1:
-        if near[i]:
-            crossings.add(float(ts[i]))
-            continue
-        t_min = refine_min(ts[i - 1], ts[i + 1])
-        if abs(f_at(t_min)) <= max(zero, 1e-14 * fmax):
-            crossings.add(t_min)
-    # merge refinements of the same zero (bisection and min-search can land
-    # within ~1e-7 of each other on a single simple crossing)
-    merge_tol = max(1e-6, 10 * tols["bisection"])
-    out = []
-    for t in sorted(crossings):
-        if out and abs(t - out[-1]) < merge_tol:
-            continue
-        out.append(t)
-    return out
+    touches by golden-section minimization of |f|."""
+    return _crossing_levels(iso, v_frame, [samples])[0]
 
 
 def _sampling_hint(p) -> float:
@@ -552,19 +664,25 @@ def _samples_for(hint: float) -> int:
 def rs_index(iso: FrameIsotopy, v: LagrangianFrame, _raw=False):
     """Robbin-Salamon index of a Lagrangian path against a fixed Lagrangian.
 
-    Sum of the crossing-form signatures, halved at the endpoints; the
-    result is snapped to the nearest half integer.  Raises RegularityError
-    if a crossing stays degenerate (callers retry with a regularization).
+    Crossings are searched on grids of growing size until two consecutive
+    grids agree; the first two grids are evaluated in one stacked call and
+    refined in shared stacked rounds.  Sum of the crossing-form signatures,
+    halved at the endpoints; the result is snapped to the nearest half
+    integer.  Raises RegularityError if a crossing stays degenerate
+    (callers retry with a regularization).
     """
     tols = DEFAULT_TOLS
     n = _samples_for(_sampling_hint(iso.path))
     # escalate the sample resolution until two consecutive levels agree on
     # the crossing set; close pairs of crossings are invisible to any fixed
-    # grid, so agreement across resolutions is the acceptance test
+    # grid, so agreement across resolutions is the acceptance test.  Levels
+    # 0 and 1 always both run, so they are evaluated and refined together
+    first = _crossing_levels(iso, v.columns, [np.linspace(0.0, 1.0, n + 1),
+                                              np.linspace(0.0, 1.0, 2 * n + 18)])
     crossings = None
     for level in range(5):
-        ts = np.linspace(0.0, 1.0, n + 1)
-        found = _find_crossings(iso, v.columns, ts)
+        found = (first[level] if level < 2
+                 else _find_crossings(iso, v.columns, np.linspace(0.0, 1.0, n + 1)))
         if crossings is not None and len(found) == len(crossings) and all(
                 abs(a - b) < 1e-6 for a, b in zip(found, crossings)):
             break

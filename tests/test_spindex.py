@@ -532,3 +532,238 @@ def test_leray_known_defect_pairs(seed):
     rng = np.random.default_rng(seed)
     a, b = random_matrix_path(rng, 2), random_matrix_path(rng, 2)
     assert leray_verify(a, b)["residual"] < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# sequential oracle for the stacked crossing refinement
+
+def reference_find_crossings(iso, v_frame, ts):
+    """The crossing search with its refinements run one sample at a time:
+    each bisection or golden-section step evaluates the indicator at one
+    point, the next point chosen from that value."""
+    tols = spindex.DEFAULT_TOLS
+    m = spindex._indicator_basis(v_frame)
+    fs = spindex._det_indicators(m, iso.frames(ts))
+    absf = np.abs(fs)
+    fmax = float(np.max(absf))
+    if fmax == 0.0:
+        raise spindex.RegularityError("path appears to lie inside the crossing variety")
+    zero = tols["det_zero"] * fmax
+    near = absf <= zero
+    if np.count_nonzero(near) > len(ts) // 2:
+        raise spindex.RegularityError("path appears to lie inside the crossing variety")
+    crossings = set()
+
+    def f_at(t):
+        return spindex._det_indicators(m, iso.frames([t]))[0]
+
+    def bisect(a, b, fa, fb):
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            fm = f_at(m)
+            if abs(fm) <= zero or (b - a) < tols["bisection"]:
+                return m
+            if (fa < 0) != (fm < 0):
+                b, fb = m, fm
+            else:
+                a, fa = m, fm
+        return 0.5 * (a + b)
+
+    def refine_min(a, b):
+        phi = (math.sqrt(5) - 1) / 2
+        x1 = b - phi * (b - a)
+        x2 = a + phi * (b - a)
+        f1, f2 = abs(f_at(x1)), abs(f_at(x2))
+        while (b - a) > tols["bisection"]:
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - phi * (b - a)
+                f1 = abs(f_at(x1))
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + phi * (b - a)
+                f2 = abs(f_at(x2))
+        return 0.5 * (a + b)
+
+    if near[0]:
+        crossings.add(0.0)
+    if near[-1]:
+        crossings.add(1.0)
+    neg, far = fs < 0, ~near
+    for i in np.flatnonzero((neg[:-1] != neg[1:]) & far[:-1] & far[1:]):
+        crossings.add(bisect(ts[i], ts[i + 1], fs[i], fs[i + 1]))
+    gate = 0.05 * fmax
+    inner = absf[1:-1]
+    for i in np.flatnonzero((inner <= absf[:-2]) & (inner <= absf[2:]) & (inner < gate)) + 1:
+        if near[i]:
+            crossings.add(float(ts[i]))
+            continue
+        t_min = refine_min(ts[i - 1], ts[i + 1])
+        if abs(f_at(t_min)) <= max(zero, 1e-14 * fmax):
+            crossings.add(t_min)
+    merge_tol = max(1e-6, 10 * tols["bisection"])
+    out = []
+    for t in sorted(crossings):
+        if out and abs(t - out[-1]) < merge_tol:
+            continue
+        out.append(t)
+    return out
+
+
+def reference_rs_index(iso, v, levels):
+    """rs_index(iso, v, _raw=True) with every grid level searched on its own
+    by reference_find_crossings; the crossing list of each level searched is
+    appended to levels."""
+    tols = spindex.DEFAULT_TOLS
+    n = spindex._samples_for(spindex._sampling_hint(iso.path))
+    crossings = None
+    for level in range(5):
+        found = reference_find_crossings(iso, v.columns, np.linspace(0.0, 1.0, n + 1))
+        levels.append(found)
+        if crossings is not None and len(found) == len(crossings) and all(
+                abs(a - b) < 1e-6 for a, b in zip(found, crossings)):
+            break
+        crossings = found
+        n = 2 * n + 17
+    total = 0.0
+    records = []
+    eps = tols["bisection"]
+    for t in crossings:
+        end = 0.0 if t <= eps else 1.0 if t >= 1.0 - eps else None
+        kd, sig = spindex.crossing_form(iso, v.columns, t if end is None else end)
+        total += (1.0 if end is None else 0.5) * sig
+        records.append(spindex.CrossingRecord(float(t), kd, sig, end is not None))
+    snapped = round(total * 2) / 2
+    if abs(total - snapped) > tols["snap"]:
+        raise IndexError_(f"index not resolved: residual {abs(total - snapped):.2e}")
+    return snapped, records
+
+
+def outcome(fn):
+    """fn()'s value, or the class and message of the index error it raised."""
+    try:
+        return fn()
+    except IndexError_ as e:
+        return type(e).__name__, str(e)
+
+
+def oracle_cases(seeds):
+    """(isotopy, frame) pairs over the five path classes, k = 1 and 2: the
+    plain, product and rotated paths against the p- and q-planes, the doubled
+    and doubled-rotated paths against the diagonal."""
+    for seed in seeds:
+        rng = np.random.default_rng([41, seed])
+        k = 1 + seed % 2
+        p, q = random_matrix_path(rng, k), random_matrix_path(rng, k)
+        delta = float(rng.uniform(1e-3, 0.3))
+        for which in ("p", "q"):
+            v = LagrangianFrame.coordinate_plane(k, which)
+            for path in (p, ProductPath(p, q), RotatedPath(p, delta)):
+                yield FrameIsotopy(path, v), v
+        diagonal = LagrangianFrame.diagonal(k)
+        for path in (DoubledPath(p), spindex._DoubledRotated(DoubledPath(p), delta)):
+            yield FrameIsotopy(path, diagonal), diagonal
+
+
+def first_grids(iso):
+    n = spindex._samples_for(spindex._sampling_hint(iso.path))
+    return [np.linspace(0.0, 1.0, n + 1), np.linspace(0.0, 1.0, 2 * n + 18)]
+
+
+class TestStackedRefinement:
+    def assert_matches_oracle(self, iso, v):
+        levels = []
+        ref = outcome(lambda: reference_rs_index(iso, v, levels))
+        assert outcome(lambda: rs_index(iso, v, _raw=True)) == ref
+        if len(levels) >= 2:
+            grids = first_grids(iso)
+            assert spindex._crossing_levels(iso, v.columns, grids) == levels[:2]
+            assert spindex._find_crossings(iso, v.columns, grids[0]) == levels[0]
+        return levels
+
+    def test_seeded_paths(self):
+        cases = list(oracle_cases(range(26)))
+        assert len(cases) >= 200
+        for iso, v in cases:
+            self.assert_matches_oracle(iso, v)
+
+    def test_escalation_past_the_first_two_levels(self):
+        # graph paths whose first two grids disagree on the crossing set
+        for seed in (534, 663):
+            rng = np.random.default_rng([41, seed])
+            k = 1 + seed % 2
+            p, q = random_matrix_path(rng, k), random_matrix_path(rng, k)
+            diagonal = LagrangianFrame.diagonal(k)
+            iso = FrameIsotopy(DoubledPath(ProductPath(p, q)), diagonal)
+            assert len(self.assert_matches_oracle(iso, diagonal)) > 2
+
+    def test_turns_cross_on_the_last_sample(self):
+        for k in (1, 2):
+            v = LagrangianFrame.coordinate_plane(k, "p")
+            for theta in (math.pi, 2 * math.pi):
+                iso = FrameIsotopy(rot(theta, k), v)
+                assert spindex._find_crossings(iso, v.columns, first_grids(iso)[0])[-1] == 1.0
+                self.assert_matches_oracle(iso, v)
+
+    def test_paths_inside_the_crossing_variety(self):
+        q_plane = LagrangianFrame.coordinate_plane(1, "q")
+        hyperbolic = MatrixPath(1, [(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)])
+        for path in (MatrixPath(1, []), hyperbolic):
+            iso = FrameIsotopy(path, q_plane)
+            with pytest.raises(spindex.RegularityError,
+                               match="path appears to lie inside the crossing variety"):
+                rs_index(iso, q_plane)
+            self.assert_matches_oracle(iso, q_plane)
+
+
+def count_stacked_calls(monkeypatch):
+    """Patch _det_indicators to record the batch size of every call."""
+    calls, real = [], spindex._det_indicators
+
+    def counted(m, zs):
+        calls.append(len(zs))
+        return real(m, zs)
+
+    monkeypatch.setattr(spindex, "_det_indicators", counted)
+    return calls
+
+
+@pytest.mark.parametrize("batch", [1, 7, 31, None])
+def test_stacked_indicators_equal_one_sample_values(batch):
+    # the stacked rounds reproduce the sequential crossings only because a
+    # stacked evaluation gives every sample the same bits as a one-sample
+    # evaluation: numpy's batched matmul, solve and det must work per slice
+    ts = np.concatenate([np.linspace(0.0, 1.0, 65),
+                         np.random.default_rng(45).uniform(0.0, 1.0, 64)])
+    for iso, v in oracle_cases(range(2)):
+        m = spindex._indicator_basis(v.columns)
+        single = np.array([spindex._det_indicators(m, iso.frames(ts[i:i + 1]))[0]
+                           for i in range(len(ts))])
+        size = batch or len(ts)
+        stacked = np.concatenate([spindex._det_indicators(m, iso.frames(ts[i:i + size]))
+                                  for i in range(0, len(ts), size)])
+        assert np.array_equal(stacked, single), (
+            f"stacked indicators at batch size {size} differ from one-sample values "
+            f"for {type(iso.path).__name__}: stacked crossing refinement is unsound")
+
+
+def test_agreeing_levels_without_crossings_take_one_stacked_call(monkeypatch):
+    calls = count_stacked_calls(monkeypatch)
+    q_plane = LagrangianFrame.coordinate_plane(1, "q")
+    p_plane = LagrangianFrame.coordinate_plane(1, "p")
+    for path in (MatrixPath(1, []), rot(0.5)):
+        calls.clear()
+        assert rs_index(FrameIsotopy(path, q_plane), p_plane) == 0.0
+        assert calls == [257 + 530]
+
+
+def test_stacked_call_count_guard(monkeypatch):
+    # refining one sample at a time took 4684 calls on these 60 indices
+    calls = count_stacked_calls(monkeypatch)
+    for seed in range(30):
+        rng = np.random.default_rng([43, seed])
+        k = 1 + seed % 2
+        p = ProductPath(random_matrix_path(rng, k), random_matrix_path(rng, k))
+        cz_matr(p)
+        ind(p, LagrangianFrame.coordinate_plane(k, "q"))
+    assert len(calls) <= 900
