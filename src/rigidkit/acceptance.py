@@ -245,7 +245,7 @@ def suite_index(seed=0, trials=None):
     details["maslov_loops"] = loops
     passed &= loops == [2 * l for l in range(1, 6)]
 
-    n_cz = (trials or 50) if trials else 50
+    n_cz = trials or 50
     cz_ok = 0
     for _ in range(n_cz):
         p = random_matrix_path(rng, 1)

@@ -448,8 +448,6 @@ def build_parser():
                         help="emit the full JSON report")
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized suites (fallback: RIGIDKIT_SEED)")
-    shared.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="deprecated and ignored: suites run sequentially")
 
     p = argparse.ArgumentParser(
         prog="rigidkit",
@@ -458,8 +456,6 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="emit the full JSON report")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for randomized suites (fallback: RIGIDKIT_SEED)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="deprecated and ignored: suites run sequentially")
     sub = p.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
 
     ring = sub.add_parser("ring", parents=[shared], help="structure-constant algebra analysis")
@@ -535,9 +531,6 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return 2
-    if args.jobs is not None:
-        print("rigidkit: --jobs is deprecated and ignored; suites run sequentially",
-              file=sys.stderr)
     if args.seed is None:
         env = os.environ.get("RIGIDKIT_SEED")
         if env is not None:

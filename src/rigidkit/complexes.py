@@ -180,11 +180,11 @@ def validate(v: DecoratedComplex):
             if v.parities[i] == v.parities[j]:
                 bad.append(f"d does not flip parity on {v.labels[j]} -> {v.labels[i]}")
     for j in range(n):
-        dd = v.d(v.d(v.basis_vector(j)))
+        dd = v.d(ChainElement(v.diff[j]))
         if not dd.is_zero():
             bad.append(f"d^2 != 0 on {v.labels[j]}")
     for j in range(n):
-        fv = filter_value(v, v.d(v.basis_vector(j)))
+        fv = filter_value(v, ChainElement(v.diff[j]))
         if fv != NEG_INF and fv >= v.filters[j]:
             bad.append(
                 f"filter does not strictly decrease on {v.labels[j]}: "
@@ -314,7 +314,7 @@ def spectral_basis(v: DecoratedComplex, order=None) -> SpectralBasis:
     if sorted(idx) != list(range(n)):
         raise ComplexError("order must be a permutation of the basis indices")
     basis, doms = [], []
-    _extend_normal(v, basis, doms, (v.d(v.basis_vector(j)) for j in idx))
+    _extend_normal(v, basis, doms, (ChainElement(v.diff[j]) for j in idx))
     q = len(basis)
     kernel = linalg.nullspace(v.diff_matrix())
     kernel_elems = [ChainElement({i: c for i, c in enumerate(vec)}) for vec in kernel]
@@ -497,7 +497,7 @@ def _filter_margin(v: DecoratedComplex) -> Fraction:
     """Smallest gap F(x_j) - F(d x_j) over basis vectors with d x_j != 0."""
     margin = None
     for j in range(v.dim):
-        img = v.d(v.basis_vector(j))
+        img = ChainElement(v.diff[j])
         if img.is_zero():
             continue
         gap = v.filters[j] - filter_value(v, img)

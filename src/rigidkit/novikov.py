@@ -292,11 +292,13 @@ class NovikovScalar:
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, field) -> "NovikovScalar":
-        return cls(field, {})
+        """The zero of field: one shared instance per field."""
+        return _ZEROS[field] if field in _FIELDS else cls(field, {})
 
     @classmethod
     def one(cls, field) -> "NovikovScalar":
-        return cls(field, {Fraction(0): 1})
+        """The one of field: one shared instance per field."""
+        return _ONES[field] if field in _FIELDS else cls(field, {Fraction(0): 1})
 
     @classmethod
     def monomial(cls, field, coeff, exponent) -> "NovikovScalar":
@@ -490,6 +492,11 @@ class NovikovScalar:
         return f"NovikovScalar[{self.field}]({self.to_text()})"
 
 
+# scalars are immutable, so each field's zero and one are built once
+_ZEROS = {f: NovikovScalar(f, {}) for f in _FIELDS}
+_ONES = {f: NovikovScalar(f, {Fraction(0): 1}) for f in _FIELDS}
+
+
 def _frac_text(x) -> str:
     x = _rat(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -609,10 +616,6 @@ def parse_scalar(field, text: str) -> NovikovScalar:
         num = _parse_sum(field, pieces[0])
         den = _parse_sum(field, pieces[1])
         return NovikovScalar(field, num, den)
-    # plain rational like 3/4
-    m = _TERM_RE.match(text.replace(" ", ""))
-    if m and m.group("coef"):
-        return NovikovScalar.constant(field, Fraction(text.replace(" ", "")))
     raise ValueError(f"cannot parse scalar {text!r}")
 
 

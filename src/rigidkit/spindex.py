@@ -18,13 +18,19 @@ after pre-composing with a small uniform rotation.
 Every index is one rs_index call on the orbit A_t span(Z) of a fixed
 Lagrangian frame: Ind(A, V) is the orbit of V against V, the Conley-Zehnder
 index the orbit of the diagonal under {I (+) A_t} (the graph path) against
-the diagonal.  Tolerances are DEFAULT_TOLS; grids are sized from the path.
+the diagonal.  Tolerances are DEFAULT_TOLS.  The path classes (MatrixPath,
+ProductPath, RotatedPath, DoubledPath and the doubled-space RotatedPath
+_DoubledRotated) share one duck-typed protocol: k, values(ts), value(t),
+derivative(t) and sampling_hint(), which sizes the first sample grid; no
+function here dispatches on the path class.
 
-Crossings are located on sample grids of a normalized determinant.  A
-grid is evaluated in blocks of _GRID_BLOCK samples: the paths return their
-values at a whole block as one stacked (N, n, n) array, and the frames of
-the block are solved against the fixed basis [V | complement of V] (built
-once per path) in one stacked solve and one stacked determinant.  Sign
+Crossings are located on sample grids of a normalized determinant.
+rs_index builds the fixed basis [V | complement of V] once, and every grid
+level and every crossing form of the index uses it.  A grid is evaluated
+in blocks of _GRID_BLOCK samples: the paths return their values at a
+whole block as one stacked (N, n, n) array, and the frames of the block
+are solved against that basis in one stacked solve and one stacked
+determinant.  Sign
 changes are refined by bisection and dips by golden-section search, in
 stacked rounds: the points either search visits next depend only on which
 side each step keeps, so each round evaluates the next _SPEC_DEPTH levels
@@ -262,6 +268,10 @@ class MatrixPath:
     def end(self) -> np.ndarray:
         return self._starts[-1]
 
+    def sampling_hint(self) -> float:
+        """Total rotation-like content of the path, used to size the sample grid."""
+        return sum(np.linalg.norm(s, 2) * d for s, d in self.segments) / max(self.total, 1e-12)
+
     def reparametrized(self, weights):
         """Same image path traversed with new positive segment durations.
 
@@ -303,15 +313,19 @@ class ProductPath:
     def end(self):
         return self.a.end() @ self.b.end()
 
+    def sampling_hint(self):
+        return self.a.sampling_hint() + self.b.sampling_hint()
+
 
 class RotatedPath:
-    """{R_{delta t} A_t}: uniform-rotation regularization of a path."""
+    """{R_{delta t} A_t}: uniform-rotation regularization of a path, with
+    R_s = exp(s J) for a complex structure J (by default j_matrix(k))."""
 
-    def __init__(self, base, delta):
+    def __init__(self, base, delta, j=None):
         self.base = base
         self.k = base.k
         self.delta = float(delta)
-        self._j = j_matrix(self.k)
+        self._j = j_matrix(self.k) if j is None else j
         self._exp = _SegmentExp(self._j * self.delta)
 
     def values(self, ts):
@@ -323,6 +337,9 @@ class RotatedPath:
     def derivative(self, t):
         r = self._exp.at(t)
         return (self._j * self.delta) @ r @ self.base.value(t) + r @ self.base.derivative(t)
+
+    def sampling_hint(self):
+        return self.base.sampling_hint() + abs(self.delta)
 
 
 class DoubledPath:
@@ -350,6 +367,20 @@ class DoubledPath:
         out = np.zeros((2 * n, 2 * n))
         out[n:, n:] = da
         return out
+
+    def sampling_hint(self):
+        return self.base.sampling_hint()
+
+
+class _DoubledRotated(RotatedPath):
+    """Rotation regularization inside the doubled space, by its own J."""
+
+    def __init__(self, base, delta):
+        super().__init__(base, delta, -doubled_omega(base.k // 2))
+
+    # the same methods, bound in this class body too: perfbench's tracer
+    # wraps value and derivative in each path class's own body
+    value, derivative = RotatedPath.value, RotatedPath.derivative
 
 
 class FrameIsotopy:
@@ -408,48 +439,41 @@ def _det_indicators(m: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.divide(d, denom, out=np.zeros_like(d), where=denom > 0)
 
 
-def _kernel_coefficients(beta: np.ndarray):
+def _kernel_coefficients(beta: np.ndarray) -> np.ndarray:
+    """Columns spanning the numerical kernel of the square matrix beta."""
     tol = DEFAULT_TOLS["eig_zero"]
-    u, s, vt = np.linalg.svd(beta)
+    _, s, vt = np.linalg.svd(beta)
     scale = s[0] if s[0] > 0 else 1.0
-    null = [vt[i] for i in range(len(s)) if s[i] <= tol * max(1.0, scale)]
+    null = vt[s <= tol * max(1.0, scale)]
     if len(null) == 0 and s[-1] <= math.sqrt(tol):
-        null = [vt[-1]]
-    return null
+        null = vt[-1:]
+    return null.T
 
 
-def crossing_form(iso: FrameIsotopy, v_frame: np.ndarray, t0: float):
-    """(kernel_dim, signature) of the crossing form at t0, via the standard
-    derivative formula with W = J * L(t0) as the complement of L(t0)."""
+def crossing_form(iso: FrameIsotopy, m: np.ndarray, t0: float):
+    """(kernel_dim, signature) of the crossing form at t0 against V, for
+    m = _indicator_basis(V), via the standard derivative formula with
+    W = J * L(t0) as the complement of L(t0)."""
     tols = DEFAULT_TOLS
     z = iso.frame(t0)
     dz = iso.dframe(t0)
-    n2, k = z.shape
-    beta = np.linalg.solve(_indicator_basis(v_frame), z)[k:, :]
-    null = _kernel_coefficients(beta)
-    if not null:
+    k = z.shape[1]
+    # z @ c spans L(t0) & V
+    c = _kernel_coefficients(np.linalg.solve(m, z)[k:, :])
+    kerdim = c.shape[1]
+    if not kerdim:
         raise RegularityError("no kernel found at a reported crossing")
     om = iso.omega
     # complement W = J L(t0) where J = -Omega works for any form matrix Omega
     w = -om @ z
-    m = np.hstack([z, -w])
-    kerdim = len(null)
-    vs = [z @ c for c in null]
-    wdots = []
-    for c in null:
-        rhs = -dz @ c
-        sol = np.linalg.solve(m, rhs)
-        wdots.append(w @ sol[k:])
-    q = np.zeros((kerdim, kerdim))
-    for a in range(kerdim):
-        for b in range(kerdim):
-            q[a, b] = vs[a] @ om @ wdots[b]
+    sol = np.linalg.solve(np.hstack([z, -w]), -dz @ c)
+    q = (z @ c).T @ om @ (w @ sol[k:])
     asym = np.max(np.abs(q - q.T)) if kerdim > 1 else 0.0
     if asym > max(10 * tols["eig_zero"], 1e-6 * max(1.0, np.max(np.abs(q)))):
         raise RegularityError(f"crossing form not symmetric (defect {asym:.2e})")
     q = 0.5 * (q + q.T)
     eigs = np.linalg.eigvalsh(q)
-    zero_tol = tols["eig_zero"] * max(1.0, float(np.max(np.abs(eigs))) if len(eigs) else 1.0)
+    zero_tol = tols["eig_zero"] * max(1.0, float(np.max(np.abs(eigs))))
     if any(abs(e) <= zero_tol for e in eigs):
         raise RegularityError("degenerate crossing form")
     sig = int(sum(1 for e in eigs if e > 0) - sum(1 for e in eigs if e < 0))
@@ -617,14 +641,17 @@ def _indicators(iso: FrameIsotopy, m: np.ndarray, ts) -> np.ndarray:
                            for i in range(0, len(ts), _GRID_BLOCK)])
 
 
-def _crossing_levels(iso: FrameIsotopy, v_frame: np.ndarray, grids):
-    """_find_crossings on several grids of one path at once.  The grids are
-    evaluated as one stack and checked for regularity in order; then every
-    search of every grid advances in the same stacked rounds.  A round
-    evaluates the probe trees of all unfinished searches in one call, and
-    each search takes the steps whose values it now has.  Each search reads
-    exactly the values and takes exactly the steps it would take alone."""
-    m = _indicator_basis(v_frame)
+def _crossing_levels(iso: FrameIsotopy, m: np.ndarray, grids):
+    """Crossing parameters in [0, 1] on each of several sample grids of one
+    path, for m = _indicator_basis(V): sign changes of the indicator refined
+    by bisection, tangential touches by golden-section minimization of |f|.
+
+    The grids are evaluated as one stack and checked for regularity in
+    order; then every search of every grid advances in the same stacked
+    rounds.  A round evaluates the probe trees of all unfinished searches in
+    one call, and each search takes the steps whose values it now has.  Each
+    search reads exactly the values and takes exactly the steps it would
+    take alone."""
     fs = _indicators(iso, m, np.concatenate(grids))
     bounds = np.cumsum([len(ts) for ts in grids])[:-1]
     scans = [_GridScan(ts, f) for ts, f in zip(grids, np.split(fs, bounds))]
@@ -635,26 +662,6 @@ def _crossing_levels(iso: FrameIsotopy, v_frame: np.ndarray, grids):
         values.update(zip(ts, _indicators(iso, m, ts)))
         searches = [s for s in searches if not s.advance(values)]
     return [scan.crossings() for scan in scans]
-
-
-def _find_crossings(iso: FrameIsotopy, v_frame: np.ndarray, samples):
-    """Crossing parameters in [0, 1] located from a sample grid of the
-    determinant indicator: sign changes refined by bisection, tangential
-    touches by golden-section minimization of |f|."""
-    return _crossing_levels(iso, v_frame, [samples])[0]
-
-
-def _sampling_hint(p) -> float:
-    """Total rotation-like content of a path, used to size the sample grid."""
-    if isinstance(p, MatrixPath):
-        return sum(np.linalg.norm(s, 2) * d for s, d in p.segments) / max(p.total, 1e-12)
-    if isinstance(p, ProductPath):
-        return _sampling_hint(p.a) + _sampling_hint(p.b)
-    if isinstance(p, (RotatedPath, _DoubledRotated)):
-        return _sampling_hint(p.base) + abs(p.delta)
-    if isinstance(p, DoubledPath):
-        return _sampling_hint(p.base)
-    return 0.0
 
 
 def _samples_for(hint: float) -> int:
@@ -672,17 +679,18 @@ def rs_index(iso: FrameIsotopy, v: LagrangianFrame, _raw=False):
     (callers retry with a regularization).
     """
     tols = DEFAULT_TOLS
-    n = _samples_for(_sampling_hint(iso.path))
+    m = _indicator_basis(v.columns)
+    n = _samples_for(iso.path.sampling_hint())
     # escalate the sample resolution until two consecutive levels agree on
     # the crossing set; close pairs of crossings are invisible to any fixed
     # grid, so agreement across resolutions is the acceptance test.  Levels
     # 0 and 1 always both run, so they are evaluated and refined together
-    first = _crossing_levels(iso, v.columns, [np.linspace(0.0, 1.0, n + 1),
-                                              np.linspace(0.0, 1.0, 2 * n + 18)])
+    first = _crossing_levels(iso, m, [np.linspace(0.0, 1.0, n + 1),
+                                      np.linspace(0.0, 1.0, 2 * n + 18)])
     crossings = None
     for level in range(5):
         found = (first[level] if level < 2
-                 else _find_crossings(iso, v.columns, np.linspace(0.0, 1.0, n + 1)))
+                 else _crossing_levels(iso, m, [np.linspace(0.0, 1.0, n + 1)])[0])
         if crossings is not None and len(found) == len(crossings) and all(
                 abs(a - b) < 1e-6 for a, b in zip(found, crossings)):
             break
@@ -694,7 +702,7 @@ def rs_index(iso: FrameIsotopy, v: LagrangianFrame, _raw=False):
     for t in crossings:
         # crossings within eps of an endpoint are evaluated there, at half weight
         end = 0.0 if t <= eps else 1.0 if t >= 1.0 - eps else None
-        kd, sig = crossing_form(iso, v.columns, t if end is None else end)
+        kd, sig = crossing_form(iso, m, t if end is None else end)
         total += (1.0 if end is None else 0.5) * sig
         records.append(CrossingRecord(float(t), kd, sig, end is not None))
     snapped = round(total * 2) / 2
@@ -753,28 +761,6 @@ def ind_doubled(path):
                               else DoubledPath(path), LagrangianFrame.diagonal(path.k))
 
 
-class _DoubledRotated:
-    """Rotation regularization inside the doubled space (uses its own J)."""
-
-    def __init__(self, base, delta):
-        self.base = base
-        self.k = base.k
-        self.delta = float(delta)
-        om = doubled_omega(base.k // 2)
-        self._j = -om
-        self._exp = _SegmentExp(self._j * self.delta)
-
-    def values(self, ts):
-        return self._exp.at_many(ts) @ self.base.values(ts)
-
-    def value(self, t):
-        return self.values(np.array([t]))[0]
-
-    def derivative(self, t):
-        r = self._exp.at(t)
-        return (self._j * self.delta) @ r @ self.base.value(t) + r @ self.base.derivative(t)
-
-
 def maslov_loop(path):
     """Maslov index of an identity-based loop (even integer).
 
@@ -786,12 +772,10 @@ def maslov_loop(path):
     tols = DEFAULT_TOLS
     if not np.max(np.abs(path.end() - np.eye(2 * path.k))) < 1e-6:
         raise IndexError_("path does not close up at the identity")
-    val = cz_matr(path)
-    if abs(val - round(val)) <= tols["snap"] and int(round(val)) % 2 == 0:
-        return int(round(val))
-    for m in (1, 2, 3):
-        twist = MatrixPath(path.k, [(rotation_generator(path.k) * 2 * math.pi * m, 1.0)])
-        val = cz_matr(ProductPath(twist, path)) - 2 * m * path.k
+    for m in range(4):
+        loop = path if m == 0 else ProductPath(
+            MatrixPath(path.k, [(rotation_generator(path.k) * 2 * math.pi * m, 1.0)]), path)
+        val = cz_matr(loop) - 2 * m * path.k
         if abs(val - round(val)) <= tols["snap"] and int(round(val)) % 2 == 0:
             return int(round(val))
     raise IndexError_(f"Maslov index not an even integer: {val}")

@@ -271,23 +271,15 @@ class TestCLI:
         assert code == 2
 
     @pytest.mark.parametrize("as_json", [False, True])
-    def test_jobs_is_deprecated_and_ignored(self, capsys, as_json):
+    def test_jobs_is_rejected(self, capsys, as_json):
+        # suites run sequentially: there is no --jobs flag
         args = ["index", data("rotation_loop.path.json"), "--maslov", "--cz", "--n", "1"]
         flags = ["--json"] if as_json else []
-        outputs = []
-        for argv in (flags + args, flags + ["--jobs", "4"] + args, flags + args + ["--jobs", "2"]):
-            assert cli_main(argv) == 0
+        for argv in (flags + ["--jobs", "2"] + args, flags + args + ["--jobs", "2"]):
+            assert cli_main(argv) == 2
             captured = capsys.readouterr()
-            lines = captured.err.splitlines()
-            assert len(lines) == ("--jobs" in argv)
-            assert all("--jobs is deprecated" in line for line in lines)
-            out = captured.out
-            if as_json:
-                rep = json.loads(out)
-                rep.pop("timing_ms")
-                out = json.dumps(rep, sort_keys=True, indent=2)
-            outputs.append(out)
-        assert outputs[0] == outputs[1] == outputs[2]
+            assert captured.out == ""
+            assert "rigidkit: error:" in captured.err
 
     def test_violation_exit_code(self, tmp_path):
         # a polytope that is not Delzant: --delzant reports a violation

@@ -148,6 +148,22 @@ class TestSerialization:
     def test_zero(self):
         assert parse_scalar(QMODEL, "0").is_zero()
 
+    def test_plain_rationals_and_stacked_slashes(self):
+        assert parse_scalar(QMODEL, "3/4") == NovikovScalar.constant(QMODEL, Fr(3, 4))
+        assert parse_scalar(QMODEL, "(1/2)*s^(1)") == NovikovScalar.monomial(QMODEL, Fr(1, 2), 1)
+        with pytest.raises(ValueError):
+            parse_scalar(QMODEL, "1/2/3")
+
+
+@pytest.mark.parametrize("field", [QMODEL, F2])
+def test_constants_are_shared(field):
+    assert NovikovScalar.zero(field) is NovikovScalar.zero(field)
+    assert NovikovScalar.zero(field) == NovikovScalar(field, {})
+    assert NovikovScalar.one(field) is NovikovScalar.one(field)
+    assert NovikovScalar.one(field) == NovikovScalar(field, {0: 1})
+    with pytest.raises(ValueError):
+        NovikovScalar.zero("GF(3)")
+
 
 class TestPeriodGroup:
     def test_group_sum_gcd(self):

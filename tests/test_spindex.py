@@ -317,6 +317,11 @@ class TestStability:
 # ---------------------------------------------------------------------------
 # batched path evaluation and the stacked crossing grid
 
+def find_crossings(iso, v, ts):
+    """The crossings the stacked search finds on the one grid ts."""
+    return spindex._crossing_levels(iso, spindex._indicator_basis(v.columns), [ts])[0]
+
+
 def reference_value(p, t):
     """Value of a MatrixPath from scratch: walk the clock from 0 and multiply
     one scipy expm per segment (t clamped to [0, 1])."""
@@ -479,13 +484,13 @@ class TestBatchedPaths:
                 found = []
                 for block in (1, 7, 256, n + 1):
                     monkeypatch.setattr(spindex, "_GRID_BLOCK", block)
-                    found.append(spindex._find_crossings(iso, v.columns, ts))
+                    found.append(find_crossings(iso, v, ts))
                 assert all(f == found[-1] for f in found)
         # the half and full turns return to V at t = 1, the last grid sample
         monkeypatch.undo()
         ts = np.linspace(0.0, 1.0, 257)
         for p, expected in ((rot(math.pi), [0.0, 1.0]), (rot(2 * math.pi), [0.0, 0.5, 1.0])):
-            found = spindex._find_crossings(FrameIsotopy(p, v), v.columns, ts)
+            found = find_crossings(FrameIsotopy(p, v), v, ts)
             assert found == pytest.approx(expected, abs=1e-9)
 
 
@@ -610,12 +615,64 @@ def reference_find_crossings(iso, v_frame, ts):
     return out
 
 
+def reference_sampling_hint(p):
+    """The grid-size hint of a path, by class dispatch over the five path
+    classes (0.0 for any other class)."""
+    if isinstance(p, MatrixPath):
+        return sum(np.linalg.norm(s, 2) * d for s, d in p.segments) / max(p.total, 1e-12)
+    if isinstance(p, ProductPath):
+        return reference_sampling_hint(p.a) + reference_sampling_hint(p.b)
+    if isinstance(p, (RotatedPath, spindex._DoubledRotated)):
+        return reference_sampling_hint(p.base) + abs(p.delta)
+    if isinstance(p, DoubledPath):
+        return reference_sampling_hint(p.base)
+    return 0.0
+
+
+def reference_crossing_form(iso, v_frame, t0):
+    """(kernel_dim, signature) of the crossing form at t0, with the QR
+    complement of V rebuilt and one solve per kernel vector."""
+    tols = spindex.DEFAULT_TOLS
+    z = iso.frame(t0)
+    dz = iso.dframe(t0)
+    k = z.shape[1]
+    beta = np.linalg.solve(spindex._indicator_basis(v_frame), z)[k:, :]
+    eig_tol = tols["eig_zero"]
+    _, sv, vt = np.linalg.svd(beta)
+    scale = sv[0] if sv[0] > 0 else 1.0
+    null = [vt[i] for i in range(len(sv)) if sv[i] <= eig_tol * max(1.0, scale)]
+    if len(null) == 0 and sv[-1] <= math.sqrt(eig_tol):
+        null = [vt[-1]]
+    if not null:
+        raise spindex.RegularityError("no kernel found at a reported crossing")
+    om = iso.omega
+    w = -om @ z
+    m = np.hstack([z, -w])
+    kerdim = len(null)
+    vs = [z @ c for c in null]
+    wdots = [w @ np.linalg.solve(m, -dz @ c)[k:] for c in null]
+    q = np.zeros((kerdim, kerdim))
+    for a in range(kerdim):
+        for b in range(kerdim):
+            q[a, b] = vs[a] @ om @ wdots[b]
+    asym = np.max(np.abs(q - q.T)) if kerdim > 1 else 0.0
+    if asym > max(10 * eig_tol, 1e-6 * max(1.0, np.max(np.abs(q)))):
+        raise spindex.RegularityError(f"crossing form not symmetric (defect {asym:.2e})")
+    q = 0.5 * (q + q.T)
+    eigs = np.linalg.eigvalsh(q)
+    zero_tol = eig_tol * max(1.0, float(np.max(np.abs(eigs))))
+    if any(abs(e) <= zero_tol for e in eigs):
+        raise spindex.RegularityError("degenerate crossing form")
+    return kerdim, int(sum(1 for e in eigs if e > 0) - sum(1 for e in eigs if e < 0))
+
+
 def reference_rs_index(iso, v, levels):
     """rs_index(iso, v, _raw=True) with every grid level searched on its own
-    by reference_find_crossings; the crossing list of each level searched is
+    by reference_find_crossings and every crossing form by
+    reference_crossing_form; the crossing list of each level searched is
     appended to levels."""
     tols = spindex.DEFAULT_TOLS
-    n = spindex._samples_for(spindex._sampling_hint(iso.path))
+    n = spindex._samples_for(reference_sampling_hint(iso.path))
     crossings = None
     for level in range(5):
         found = reference_find_crossings(iso, v.columns, np.linspace(0.0, 1.0, n + 1))
@@ -630,7 +687,7 @@ def reference_rs_index(iso, v, levels):
     eps = tols["bisection"]
     for t in crossings:
         end = 0.0 if t <= eps else 1.0 if t >= 1.0 - eps else None
-        kd, sig = spindex.crossing_form(iso, v.columns, t if end is None else end)
+        kd, sig = reference_crossing_form(iso, v.columns, t if end is None else end)
         total += (1.0 if end is None else 0.5) * sig
         records.append(spindex.CrossingRecord(float(t), kd, sig, end is not None))
     snapped = round(total * 2) / 2
@@ -666,7 +723,7 @@ def oracle_cases(seeds):
 
 
 def first_grids(iso):
-    n = spindex._samples_for(spindex._sampling_hint(iso.path))
+    n = spindex._samples_for(reference_sampling_hint(iso.path))
     return [np.linspace(0.0, 1.0, n + 1), np.linspace(0.0, 1.0, 2 * n + 18)]
 
 
@@ -677,8 +734,9 @@ class TestStackedRefinement:
         assert outcome(lambda: rs_index(iso, v, _raw=True)) == ref
         if len(levels) >= 2:
             grids = first_grids(iso)
-            assert spindex._crossing_levels(iso, v.columns, grids) == levels[:2]
-            assert spindex._find_crossings(iso, v.columns, grids[0]) == levels[0]
+            m = spindex._indicator_basis(v.columns)
+            assert spindex._crossing_levels(iso, m, grids) == levels[:2]
+            assert spindex._crossing_levels(iso, m, grids[:1]) == levels[:1]
         return levels
 
     def test_seeded_paths(self):
@@ -702,7 +760,7 @@ class TestStackedRefinement:
             v = LagrangianFrame.coordinate_plane(k, "p")
             for theta in (math.pi, 2 * math.pi):
                 iso = FrameIsotopy(rot(theta, k), v)
-                assert spindex._find_crossings(iso, v.columns, first_grids(iso)[0])[-1] == 1.0
+                assert find_crossings(iso, v, first_grids(iso)[0])[-1] == 1.0
                 self.assert_matches_oracle(iso, v)
 
     def test_paths_inside_the_crossing_variety(self):
@@ -714,6 +772,49 @@ class TestStackedRefinement:
                                match="path appears to lie inside the crossing variety"):
                 rs_index(iso, q_plane)
             self.assert_matches_oracle(iso, q_plane)
+
+
+def test_doubled_rotated_is_rotated_path_with_doubled_j():
+    ts = np.linspace(-0.1, 1.1, 61)
+    for k in (1, 2):
+        for seed in range(4):
+            rng = np.random.default_rng([46, k, seed])
+            base = DoubledPath(random_matrix_path(rng, k))
+            delta = float(rng.uniform(1e-3, 0.3))
+            got = spindex._DoubledRotated(base, delta)
+            ref = RotatedPath(base, delta, -doubled_omega(k))
+            assert np.array_equal(got.values(ts), ref.values(ts))
+            for t in ts:
+                assert np.array_equal(got.derivative(t), ref.derivative(t))
+
+
+def test_sampling_hint_matches_class_dispatch():
+    p = random_matrix_path(np.random.default_rng(47), 2)
+    paths = [iso.path for iso, _ in oracle_cases(range(26))]
+    for path in paths + [DoubledPath(ProductPath(p, RotatedPath(p, 0.2)))]:
+        assert path.sampling_hint() == reference_sampling_hint(path)
+
+
+def test_indicator_basis_built_once_per_index(monkeypatch):
+    calls, real = [], spindex._indicator_basis
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(spindex, "_indicator_basis", counted)
+    cases = list(oracle_cases(range(4)))
+    for seed in (534, 663):
+        # first two grid levels disagree: the search escalates to level 2
+        rng = np.random.default_rng([41, seed])
+        k = 1 + seed % 2
+        p, q = random_matrix_path(rng, k), random_matrix_path(rng, k)
+        diagonal = LagrangianFrame.diagonal(k)
+        cases.append((FrameIsotopy(DoubledPath(ProductPath(p, q)), diagonal), diagonal))
+    for iso, v in cases:
+        calls.clear()
+        _, records = rs_index(iso, v, _raw=True)
+        assert len(calls) == 1, (len(calls), len(records))
 
 
 def count_stacked_calls(monkeypatch):
