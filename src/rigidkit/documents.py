@@ -10,6 +10,7 @@ bytes.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,11 @@ from .toric import ConvexBody, DelzantPolytope, MomentData
 class DocumentError(ValueError):
     pass
 
+
+# Largest C(n, d) * n accepted for a hull of n points in dimension d: the
+# exact hull enumerates every d-subset of the points and tests each against
+# all n.  The shipped documents and built-ins stay below 100.
+MAX_HULL_COST = 50_000
 
 KINDS = ("ring", "complex", "path", "frame", "polytope", "body", "pl-function")
 
@@ -204,9 +210,23 @@ def frame_to_doc(f: LagrangianFrame) -> dict:
     }
 
 
+def _check_hull_cost(n, d, kind):
+    """Fail closed before an exact hull of n points in dimension d that
+    would cost more than MAX_HULL_COST.  Hulls run in at most 4 dimensions
+    (a body's points are hulled in their span), so d is capped at 4."""
+    d = min(d, 4)
+    cost = math.comb(n, d) * n if d >= 1 else 0
+    if cost > MAX_HULL_COST:
+        raise DocumentError(
+            f"{kind} document: hull of {n} points in dimension {d} costs"
+            f" C({n}, {d}) * {n} = {cost}, over the limit {MAX_HULL_COST}")
+
+
 def polytope_from_doc(doc) -> MomentData:
     dim = int(_require(doc, "dimension", "polytope"))
-    vertices = [[_rat_in(x) for x in v] for v in _require(doc, "vertices", "polytope")]
+    raw = _require(doc, "vertices", "polytope")
+    _check_hull_cost(len(raw), dim, "polytope")
+    vertices = [[_rat_in(x) for x in v] for v in raw]
     p = DelzantPolytope(dim, vertices)
     kappa = doc.get("kappa")
     return MomentData(p, kappa=_rat_in(kappa) if kappa is not None else None,
@@ -227,8 +247,10 @@ def polytope_to_doc(m: MomentData) -> dict:
 
 
 def body_from_doc(doc) -> ConvexBody:
-    return ConvexBody([[_rat_in(x) for x in g]
-                       for g in _require(doc, "generators", "body")])
+    raw = _require(doc, "generators", "body")
+    # a certificate or membership test hulls the generators and the origin
+    _check_hull_cost(len(raw) + 1, len(raw[0]) if raw else 0, "body")
+    return ConvexBody([[_rat_in(x) for x in g] for g in raw])
 
 
 def body_to_doc(b: ConvexBody) -> dict:

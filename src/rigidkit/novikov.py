@@ -273,7 +273,8 @@ class NovikovScalar:
             self.den = {Fraction(0): _coeff(field, 1)}
             self._hash = None
             return
-        if len(den) > 1 or len(num) > 4:
+        # over a monomial denominator the Laurent gcd is always a unit
+        if len(den) > 1:
             num, den = _poly_gcd_reduce(field, num, den)
         # shift so den has minimal exponent 0, then make den's leading coeff 1
         lo = min(den)

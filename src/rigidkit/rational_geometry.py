@@ -1,4 +1,4 @@
-"""Exact linear algebra and convex hulls over the rationals (dimension <= 4)."""
+"""Exact linear algebra and convex hulls over the rationals (dimensions 1-4, one path)."""
 
 from __future__ import annotations
 
@@ -74,9 +74,10 @@ def _hyperplane_through(points):
     """(normal, offset) of the affine hyperplane through the points, or None
     if they do not span one."""
     base = points[0]
-    rows = [vec_sub(p, base) for p in points[1:]]
+    rows = [vec_sub(p, base) for p in points[1:]] or [[0] * len(base)]
     kern = nullspace_basis(rows)
-    # kernel of the (k-1) x k difference matrix: need exactly 1 dimension
+    # kernel of the (k-1) x k difference matrix (one zero row for k = 1,
+    # one point on a line): need exactly 1 dimension
     if len(kern) != 1:
         return None
     normal = kern[0]
@@ -93,7 +94,8 @@ def convex_hull_facets(points, dim=None):
     Returns a list of (inward_normal, offset, frozenset(vertex indices)),
     the inward normal being a primitive integer vector with
     <n, x> >= offset on the hull.  Enumeration over affinely independent
-    k-subsets; intended for desk-scale inputs in dimension <= 4.
+    k-subsets, one path for every dimension 1 to 4; the cost grows as
+    C(len(points), k) * len(points), so it is meant for desk-scale inputs.
     """
     pts = [frac_vec(p) for p in points]
     if not pts:
@@ -133,9 +135,6 @@ def extreme_points(points, dim=None):
     """Indices of the points that are vertices of the hull (active-normal rank k)."""
     pts = [frac_vec(p) for p in points]
     k = dim if dim is not None else len(pts[0])
-    if k == 1:
-        xs = [p[0] for p in pts]
-        return sorted({xs.index(min(xs)), xs.index(max(xs))})
     return extreme_indices(convex_hull_facets(pts, k), len(pts), k)
 
 
@@ -151,15 +150,12 @@ def extreme_indices(facets, count, dim):
 
 
 def hull_edges(points, facets, dim):
-    """Vertex-index pairs forming 1-faces: active shared normals have rank k-1."""
-    k = dim
-    if k == 1:
-        return [(0, 1)] if len(points) == 2 else []
+    """Vertex-index pairs forming 1-faces: active shared normals have rank dim-1."""
     edges = []
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             shared = [n for (n, c, mem) in facets if i in mem and j in mem]
-            if shared and mat_rank(shared) == k - 1:
+            if mat_rank(shared) == dim - 1:
                 edges.append((i, j))
     return edges
 
@@ -171,9 +167,6 @@ def triangulate(points, dim):
     """
     pts = [frac_vec(p) for p in points]
     k = dim
-    if k == 1:
-        idx = extreme_points(pts, 1)
-        return [tuple(idx)]
     if len(pts) == k + 1:
         return [tuple(range(len(pts)))]
     facets = convex_hull_facets(pts, k)
@@ -256,14 +249,6 @@ def separating_functional(points, dim):
         if c is None:
             raise HullError("functional extension failed")
         return tuple(c)
-
-    if dim == 1:
-        xs = [p[0] for p in pts]
-        if min(xs) > 0:
-            return (Fraction(1),)
-        if max(xs) < 0:
-            return (Fraction(-1),)
-        return None
 
     cloud = pts + [tuple(Fraction(0) for _ in range(dim))]
     zero_idx = len(pts)

@@ -1,8 +1,8 @@
 """Delzant polytope analysis: normalization, vertex checks, the special
 point, displaceability certificates and fiber classification.
 
-All computations are exact over the rationals; convex hulls are supported
-up to dimension 4.
+All computations are exact over the rationals; every dimension 1 to 4
+takes the same convex-hull path.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .rational_geometry import (
     convex_hull_facets,
     dot,
     extreme_indices,
-    extreme_points,
     frac_vec,
     hull_edges,
     mat_det,
@@ -52,30 +51,18 @@ class DelzantPolytope:
                 raise ToricError("vertex coordinate count mismatch")
         if len(vs) < self.dimension + 1:
             raise ToricError("too few vertices for a full-dimensional polytope")
-        if self.dimension == 1:
-            ext = extreme_points(vs, 1)
-        else:
-            try:
-                raw = convex_hull_facets(vs, self.dimension)
-            except HullError as e:
-                raise ToricError(str(e)) from e
-            ext = extreme_indices(raw, len(vs), self.dimension)
+        try:
+            raw = convex_hull_facets(vs, self.dimension)
+        except HullError as e:
+            raise ToricError(str(e)) from e
+        ext = extreme_indices(raw, len(vs), self.dimension)
         if sorted(ext) != list(range(len(vs))):
             bad = [i for i in range(len(vs)) if i not in ext]
             raise ToricError(
                 f"listed points are not all extreme: indices {bad}")
         self.vertices = tuple(vs)
-        if self.dimension == 1:
-            xs = sorted(v[0] for v in vs)
-            self.facets = (((Fraction(1),), xs[0]), ((Fraction(-1),), -xs[1]))
-            self.edges = ((0, 1),)
-            mem_lo = frozenset(i for i, v in enumerate(vs) if v[0] == xs[0])
-            mem_hi = frozenset(i for i, v in enumerate(vs) if v[0] == xs[1])
-            self._facet_members = (mem_lo, mem_hi)
-        else:
-            self.facets = tuple((n, c) for n, c, mem in raw)
-            self._facet_members = tuple(mem for n, c, mem in raw)
-            self.edges = tuple(hull_edges(vs, raw, self.dimension))
+        self.facets = tuple((n, c) for n, c, mem in raw)
+        self.edges = tuple(hull_edges(vs, raw, self.dimension))
 
     def contains(self, point) -> bool:
         p = frac_vec(point)

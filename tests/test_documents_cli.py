@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -11,9 +14,12 @@ import pytest
 from rigidkit.cli import main as cli_main
 from rigidkit.corpus import random_decorated_complex, random_general_position_pair
 from rigidkit.documents import (
+    MAX_HULL_COST,
     DocumentError,
     dumps_document,
     load_document,
+    polytope_from_doc,
+    polytope_to_doc,
     save_document,
 )
 from rigidkit.novikov import QMODEL
@@ -118,6 +124,64 @@ class TestValidationOnLoad:
         assert md.kappa == Fr(1, 3)
         with pytest.raises(DocumentError):
             load_document("builtin:quadric", "body")
+
+
+def convex_polygon(n):
+    """n vertices in convex position: points on the parabola y = x^2."""
+    return [[k, k * k] for k in range(n)]
+
+
+def moment_curve(n):
+    """n vertices in convex position in dimension 4."""
+    return [[k, k ** 2, k ** 3, k ** 4] for k in range(n)]
+
+
+class TestHullCostLimit:
+    def cli(self, tmp_path, doc, *argv):
+        path = tmp_path / f"{doc['kind']}.json"
+        path.write_text(json.dumps(doc))
+        buf = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(buf):
+            code = cli_main(["--json", *[str(path) if a == "{doc}" else a for a in argv]])
+        return code, json.loads(buf.getvalue()), time.perf_counter() - start
+
+    @pytest.mark.parametrize("dim, vertices", [(2, convex_polygon(60)), (4, moment_curve(40))])
+    def test_oversized_polytope_exits_2_fast(self, tmp_path, dim, vertices):
+        doc = {"kind": "polytope", "dimension": dim, "vertices": vertices}
+        code, rep, elapsed = self.cli(tmp_path, doc, "toric", "{doc}", "--delzant")
+        assert code == 2 and elapsed < 1.0
+        message = rep["results"]["error"]
+        n = len(vertices)
+        assert f"{n} points in dimension {dim}" in message and str(MAX_HULL_COST) in message
+
+    def test_oversized_body_exits_2_fast(self, tmp_path):
+        # 59 generators and the origin: the same hull as a 60-vertex polygon
+        doc = {"kind": "body", "generators": convex_polygon(60)[1:]}
+        code, rep, elapsed = self.cli(tmp_path, doc, "toric", data("cpn2.polytope.json"),
+                                      "--displaceable", "{doc}")
+        assert code == 2 and elapsed < 1.0
+        assert "60 points in dimension 2" in rep["results"]["error"]
+
+    def test_limit_is_exact_for_bodies(self, tmp_path):
+        # C(46, 2) * 46 = 47610 loads; C(47, 2) * 47 = 50807 does not
+        for count, ok in ((45, True), (46, False)):
+            path = tmp_path / f"b{count}.json"
+            path.write_text(json.dumps({"kind": "body", "generators": convex_polygon(count)}))
+            if ok:
+                assert len(load_document(str(path), "body").generators) == count
+            else:
+                with pytest.raises(DocumentError, match="over the limit"):
+                    load_document(str(path), "body")
+
+    def test_shipped_documents_and_builtins_load(self):
+        for name in sorted(os.listdir(DATA)):
+            kind = name.split(".")[-2]
+            if kind in ("polytope", "body"):
+                load_document(data(name), kind)
+        for name in ("cpn1", "cpn2", "cpn3", "cpn4", "s2xs2", "blowup"):
+            doc = polytope_to_doc(load_document(f"builtin:{name}", "polytope"))
+            assert polytope_from_doc(doc).polytope == builtin_moment_data(name).polytope
 
 
 class TestCLI:

@@ -13,6 +13,7 @@ from rigidkit.novikov import (
     LambdaElement,
     NovikovScalar,
     PeriodGroup,
+    _poly_gcd_reduce,
     group_sum,
     parse_scalar,
 )
@@ -163,6 +164,21 @@ def test_constants_are_shared(field):
     assert NovikovScalar.one(field) == NovikovScalar(field, {0: 1})
     with pytest.raises(ValueError):
         NovikovScalar.zero("GF(3)")
+
+
+@pytest.mark.parametrize("field", [QMODEL, F2])
+def test_monomial_denominator_needs_no_gcd(field):
+    # 5-8 numerator terms over c*s^e: the Laurent gcd is a unit, so the
+    # constructor skips the reduction and still lands on the reduced form
+    rng = random.Random(f"monomial-den/{field}")
+    exponents = sorted({Fr(k, d) for k in range(-12, 13) for d in (1, 2, 3, 6)})
+    for _ in range(200):
+        num = {e: 1 if field == F2 else Fr(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 3))
+               for e in rng.sample(exponents, rng.randint(5, 8))}
+        den = {Fr(rng.randint(-6, 6), rng.choice((1, 2, 5))): 1 if field == F2 else Fr(rng.randint(1, 7))}
+        assert _poly_gcd_reduce(field, num, den) == (num, den)
+        x = NovikovScalar(field, num, den)
+        assert x == NovikovScalar(field, *_poly_gcd_reduce(field, num, den))
 
 
 class TestPeriodGroup:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -6,11 +7,13 @@ from rigidkit import rational_geometry, toric
 from rigidkit.rational_geometry import (
     centroid_and_volume,
     convex_hull_facets,
+    extreme_points,
     hull_edges,
     mat_det,
     point_in_hull,
     primitive_vector,
     separating_functional,
+    triangulate,
 )
 from rigidkit.toric import (
     ConvexBody,
@@ -316,3 +319,119 @@ def test_builtin_registry():
         assert delzant_verify(md.polytope) == []
     with pytest.raises(KeyError):
         builtin_moment_data("nope")
+
+
+# ---------------------------------------------------------------------------
+# dimension 1 on the generic hull path, against the special cases it replaced
+
+def reference_extreme_points(points):
+    xs = [Fr(p[0]) for p in points]
+    return sorted({xs.index(min(xs)), xs.index(max(xs))})
+
+
+def reference_separating_functional(points):
+    xs = [Fr(p[0]) for p in points]
+    if not xs or 0 in xs:
+        return None
+    if min(xs) > 0:
+        return (Fr(1),)
+    if max(xs) < 0:
+        return (Fr(-1),)
+    return None
+
+
+def reference_interval(vertices):
+    """(facets, edges, centroid, volume) of a segment, as DelzantPolytope
+    built them for dimension 1."""
+    xs = sorted(Fr(v[0]) for v in vertices)
+    facets = (((Fr(1),), xs[0]), ((Fr(-1),), -xs[1]))
+    return facets, ((0, 1),), ((xs[0] + xs[1]) / 2,), xs[1] - xs[0]
+
+
+def seeded_rational(rng, lo, hi):
+    return Fr(rng.randint(lo, hi), rng.choice((1, 2, 3, 5)))
+
+
+def seeded_line_points(rng, sign):
+    """2-6 points on a line: sign +1 all positive, -1 all negative, 0 mixed
+    (both signs present), None containing the origin; often with a repeat."""
+    count = rng.randint(2, 6)
+    if sign == 0:
+        xs = [seeded_rational(rng, 1, 9), -seeded_rational(rng, 1, 9)]
+        xs += [seeded_rational(rng, -9, 9) for _ in range(count - 2)]
+    elif sign is None:
+        xs = [Fr(0)] + [seeded_rational(rng, -9, 9) for _ in range(count - 1)]
+    else:
+        xs = [sign * seeded_rational(rng, 1, 9) for _ in range(count)]
+    if rng.random() < 0.5:
+        xs.append(rng.choice(xs))
+    rng.shuffle(xs)
+    return [(x,) for x in xs]
+
+
+class TestOneDimensionalPath:
+    @pytest.mark.parametrize("sign", [1, -1, 0, None])
+    def test_separating_functional_matches_reference(self, sign):
+        rng = random.Random(f"sep-1d/{sign}")
+        for _ in range(40):
+            pts = seeded_line_points(rng, sign)
+            got = separating_functional(pts, 1)
+            assert got == reference_separating_functional(pts), pts
+            assert (got is None) == (sign not in (1, -1))
+
+    def test_separating_functional_on_a_line_in_the_plane(self):
+        # a rank-1 point set in dimension 2 is solved on its span, in dimension 1
+        rng = random.Random("sep-1d/plane")
+        for sign in (1, -1, 0, None):
+            for _ in range(10):
+                pts = [(x, 2 * x) for (x,) in seeded_line_points(rng, sign)]
+                f = separating_functional(pts, 2)
+                if sign in (1, -1):
+                    assert all(f[0] * x + f[1] * y > 0 for x, y in pts), pts
+                else:
+                    assert f is None, pts
+
+    def test_extreme_points_match_reference_on_distinct_points(self):
+        rng = random.Random("extreme-1d")
+        for _ in range(40):
+            pts = [(x,) for x in {seeded_rational(rng, -9, 9) for _ in range(rng.randint(2, 7))}]
+            if len(pts) < 2:
+                continue
+            assert extreme_points(pts, 1) == reference_extreme_points(pts), pts
+
+    def test_segments_match_reference(self):
+        rng = random.Random("segment-1d")
+        for _ in range(40):
+            a, b = seeded_rational(rng, -9, 9), seeded_rational(rng, -9, 9)
+            if a == b:
+                continue
+            p = DelzantPolytope(1, [(a,), (b,)])
+            facets, edges, centroid, volume = reference_interval(p.vertices)
+            assert set(p.facets) == set(facets)
+            assert p.edges == edges
+            assert p.centroid() == centroid and p.volume() == volume
+            for _ in range(5):
+                x = (seeded_rational(rng, -10, 10),)
+                assert p.contains(x) == all(n[0] * x[0] >= c for n, c in facets)
+            for x in (a, b):
+                assert p.contains((x,)) and not p.strictly_contains((x,))
+
+    def test_hull_facets_of_a_segment(self):
+        # sorted, with int normals as in every other dimension
+        assert convex_hull_facets([(0,), (2,), (5,)], 1) == [
+            ((-1,), -5, frozenset({2})), ((1,), 0, frozenset({0}))]
+        assert all(type(x) is int for n, c, mem in convex_hull_facets([(3,), (1,)], 1) for x in n)
+        assert DelzantPolytope(1, [(3,), (1,)]).facets == (((-1,), -3), ((1,), 1))
+
+    def test_duplicate_vertex_rejected(self):
+        with pytest.raises(ToricError, match="duplicate points"):
+            DelzantPolytope(1, [(1,), (1,)])
+
+    def test_interior_point_not_extreme(self):
+        with pytest.raises(ToricError, match="not all extreme: indices \\[1\\]"):
+            DelzantPolytope(1, [(0,), (1,), (2,)])
+
+    def test_triangulation_fans_from_an_interior_first_point(self):
+        pts = [(Fr(2),), (Fr(0),), (Fr(5),)]
+        assert sorted(triangulate(pts, 1)) == [(0, 1), (0, 2)]
+        assert centroid_and_volume(pts, 1) == ((Fr(5, 2),), Fr(5))
