@@ -8,6 +8,7 @@ Tolerances are fixed here; seeds default to 0 so runs are reproducible.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -268,6 +269,7 @@ def suite_index(seed=0, trials=None):
 
     leray_target = trials or 100
     leray_ok = leray_ran = 0
+    leray_skipped = Counter()
     worst = 0.0
     k_cycle = [1, 2]
     ki = 0
@@ -280,30 +282,34 @@ def suite_index(seed=0, trials=None):
         b = random_matrix_path(rng, k)
         try:
             rep = leray_verify(a, b)
-        except IndexError_:
+        except IndexError_ as e:
+            leray_skipped[type(e).__name__] += 1
             continue
         leray_ran += 1
         worst = max(worst, rep["residual"])
         if rep["residual"] < 1e-6:
             leray_ok += 1
     details["leray"] = f"{leray_ok}/{leray_ran}, worst residual {worst:.2e}"
+    details["leray_skipped"] = dict(leray_skipped)
     passed &= leray_ok == leray_ran == leray_target
 
     n_qm = trials or 200
     max_defect = 0.0
     qm_ran = 0
+    qm_skipped = Counter()
     for i in range(n_qm):
         k = 1 if i % 2 == 0 else 2
         a = random_matrix_path(rng, k)
         b = random_matrix_path(rng, k)
         try:
             d = qm_defect(a, b)
-        except IndexError_:
+        except IndexError_ as e:
+            qm_skipped[type(e).__name__] += 1
             continue
         qm_ran += 1
         max_defect = max(max_defect, d)
     details["qm_defect"] = {"trials": qm_ran, "max": max_defect,
-                            "recorded_bound": C_EMP}
+                            "recorded_bound": C_EMP, "skipped": dict(qm_skipped)}
     passed &= np.isfinite(max_defect) and max_defect <= C_EMP + 1 and qm_ran >= 0.9 * n_qm
     return {"passed": bool(passed), **details}
 

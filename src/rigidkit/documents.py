@@ -39,6 +39,11 @@ class DocumentError(ValueError):
 # all n.  The shipped documents and built-ins stay below 100.
 MAX_HULL_COST = 50_000
 
+# Largest simplices * vertices accepted for a piecewise-linear function: the
+# conformity check solves one barycentric system per simplex and vertex.  The
+# shipped vee.pl.json costs 42.
+MAX_PL_COST = 5_000
+
 KINDS = ("ring", "complex", "path", "frame", "polytope", "body", "pl-function")
 
 
@@ -259,9 +264,16 @@ def body_to_doc(b: ConvexBody) -> dict:
 
 
 def pl_from_doc(doc) -> PLFunction:
+    vertices = _require(doc, "vertices", "pl-function")
+    simplices = _require(doc, "simplices", "pl-function")
+    cost = len(simplices) * len(vertices)
+    if cost > MAX_PL_COST:
+        raise DocumentError(
+            f"pl-function document: {len(simplices)} simplices * {len(vertices)} vertices"
+            f" = {cost}, over the limit {MAX_PL_COST}")
     return PLFunction(
-        [[_rat_in(x) for x in v] for v in _require(doc, "vertices", "pl-function")],
-        [[int(i) for i in s] for s in _require(doc, "simplices", "pl-function")],
+        [[_rat_in(x) for x in v] for v in vertices],
+        [[int(i) for i in s] for s in simplices],
         [_rat_in(v) for v in _require(doc, "values", "pl-function")])
 
 

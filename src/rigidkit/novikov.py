@@ -6,6 +6,11 @@ coefficients z_theta in a base field (GF(2) or the rationals).  All
 operations are exact; no series is ever truncated except in the explicit
 :func:`NovikovScalar.expand` helper, which exists as an independent
 cross-check for the valuation and free-term computations.
+
+Outside input is validated once, at the boundary: the public
+``NovikovScalar(field, num, den)`` constructor checks the field, the
+exponents and the coefficients.  Arithmetic results skip those checks and
+pass through the one canonicalizer, :func:`_canonical`, alone.
 """
 
 from __future__ import annotations
@@ -124,13 +129,9 @@ def _cneg(field, a):
 
 
 def _cinv(field, a):
-    if field == F2:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1
     if a == 0:
         raise ZeroDivisionError("inverse of 0")
-    return 1 / a
+    return 1 if field == F2 else 1 / a
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +193,10 @@ def _poly_lead(a):
 
 
 def _poly_gcd_reduce(field, num, den):
-    """Divide num and den by their polynomial gcd (via a t = s^(1/delta) substitution)."""
-    if not num:
-        return num, den
+    """Divide num and den (both nonzero) by their polynomial gcd (via a
+    t = s^(1/delta) substitution)."""
     exps = list(num) + list(den)
-    delta = 1
-    for e in exps:
-        delta = delta * e.denominator // math.gcd(delta, e.denominator)
+    delta = math.lcm(*(e.denominator for e in exps))
     lo = min(exps)
 
     def to_dense(p):
@@ -245,49 +243,55 @@ def _poly_gcd_reduce(field, num, den):
     return to_sparse(qn, Fraction(0)), to_sparse(qd, Fraction(0))
 
 
+def _canonical(field, num, den):
+    """Canonical form of num/den for clean sums num and den (den nonzero):
+    reduced by the polynomial gcd, den with minimal exponent 0 and leading
+    coefficient 1.  Zero is ({}, {0: 1})."""
+    if not num:
+        return {}, {Fraction(0): _coeff(field, 1)}
+    # over a monomial denominator the Laurent gcd is always a unit
+    if len(den) > 1:
+        num, den = _poly_gcd_reduce(field, num, den)
+    lo = min(den)
+    if lo != 0:
+        num = {e - lo: c for e, c in num.items()}
+        den = {e - lo: c for e, c in den.items()}
+    lead = den[max(den)]
+    if lead != 1:
+        inv = _cinv(field, lead)
+        num = {e: _cmul(field, c, inv) for e, c in num.items()}
+        den = {e: _cmul(field, c, inv) for e, c in den.items()}
+    return num, den
+
+
+def _from_parts(field, num, den):
+    """Scalar with the canonical num/den of an arithmetic result, unchecked."""
+    x = object.__new__(NovikovScalar)
+    x.field, x.num, x.den, x._hash = field, num, den, None
+    return x
+
+
 class NovikovScalar:
     """Element of the fraction field of finitely supported sums sum z*s^theta.
 
     The representation is canonical: num/den is reduced by the polynomial
     gcd, the denominator has minimal exponent 0 and leading coefficient 1.
+    Scalars are immutable; num and den are never changed after construction.
     """
 
     __slots__ = ("field", "num", "den", "_hash")
 
-    def __init__(self, field, num, den=None, _normalized=False):
+    def __init__(self, field, num, den=None):
         if field not in _FIELDS:
             raise ValueError(f"unknown base field {field!r}")
-        self.field = field
         if den is None:
-            den = {Fraction(0): _coeff(field, 1)}
-        if _normalized:
-            self.num, self.den = num, den
-            self._hash = None
-            return
+            den = {Fraction(0): 1}
         num = _poly_clean(field, {_rat(e): _coeff(field, c) for e, c in num.items()})
         den = _poly_clean(field, {_rat(e): _coeff(field, c) for e, c in den.items()})
         if not den:
             raise ZeroDivisionError("denominator is zero")
-        if not num:
-            self.num = {}
-            self.den = {Fraction(0): _coeff(field, 1)}
-            self._hash = None
-            return
-        # over a monomial denominator the Laurent gcd is always a unit
-        if len(den) > 1:
-            num, den = _poly_gcd_reduce(field, num, den)
-        # shift so den has minimal exponent 0, then make den's leading coeff 1
-        lo = min(den)
-        if lo != 0:
-            num = {e - lo: c for e, c in num.items()}
-            den = {e - lo: c for e, c in den.items()}
-        lead = den[max(den)]
-        if lead != 1:
-            inv = _cinv(field, lead)
-            num = {e: _cmul(field, c, inv) for e, c in num.items()}
-            den = {e: _cmul(field, c, inv) for e, c in den.items()}
-        self.num = num
-        self.den = den
+        self.field = field
+        self.num, self.den = _canonical(field, num, den)
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -333,37 +337,34 @@ class NovikovScalar:
         f = self.field
         num = _poly_add(f, _poly_mul(f, self.num, other.den),
                         _poly_mul(f, other.num, self.den))
-        return NovikovScalar(f, num, _poly_mul(f, self.den, other.den))
+        return _from_parts(f, *_canonical(f, num, _poly_mul(f, self.den, other.den)))
 
     def __sub__(self, other):
         self._check(other)
-        f = self.field
-        num = _poly_add(f, _poly_mul(f, self.num, other.den),
-                        _poly_neg(f, _poly_mul(f, other.num, self.den)))
-        return NovikovScalar(f, num, _poly_mul(f, self.den, other.den))
+        return self + -other
 
     def __neg__(self):
-        return NovikovScalar(self.field, _poly_neg(self.field, self.num),
-                             dict(self.den), _normalized=True)
+        # negating the numerator keeps the canonical form
+        return _from_parts(self.field, _poly_neg(self.field, self.num), self.den)
 
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        return NovikovScalar(f, _poly_mul(f, self.num, other.num),
-                             _poly_mul(f, self.den, other.den))
+        return _from_parts(f, *_canonical(f, _poly_mul(f, self.num, other.num),
+                                          _poly_mul(f, self.den, other.den)))
 
     def inverse(self) -> "NovikovScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0")
-        return NovikovScalar(self.field, dict(self.den), dict(self.num))
+        return _from_parts(self.field, *_canonical(self.field, self.den, self.num))
 
     def __truediv__(self, other):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero")
         f = self.field
-        return NovikovScalar(f, _poly_mul(f, self.num, other.den),
-                             _poly_mul(f, self.den, other.num))
+        return _from_parts(f, *_canonical(f, _poly_mul(f, self.num, other.den),
+                                          _poly_mul(f, self.den, other.num)))
 
     def __pow__(self, k: int):
         if k == 0:
@@ -415,29 +416,18 @@ class NovikovScalar:
             return {}
         # expansion exponents live in a discrete progression; step down
         # by the exponent lattice of num/den until enough terms collected
-        exps = list(self.num) + list(self.den)
-        delta = 1
-        for e in exps:
-            delta = delta * e.denominator // math.gcd(delta, e.denominator)
+        delta = math.lcm(*(e.denominator for e in (*self.num, *self.den)))
         step = Fraction(1, delta)
         top = self.valuation()
         floor = top - num_terms * step * max(1, len(self.den) + len(self.num))
         out = self.expand_to(floor)
         for _ in range(64):
-            if len(out) >= num_terms:
-                break
-            exact = self._expansion_exact()
-            if exact:
+            # a reduced fraction's series terminates exactly over a monomial den
+            if len(out) >= num_terms or len(self.den) == 1:
                 break
             floor -= num_terms * step * 4
             out = self.expand_to(floor)
         return dict(sorted(out.items(), reverse=True)[:num_terms])
-
-    def _expansion_exact(self) -> bool:
-        # remainder of num by den is zero => the series terminates
-        f = self.field
-        n, d = _poly_gcd_reduce(f, self.num, self.den)
-        return len(d) == 1
 
     def expand_to(self, min_exponent):
         """All series terms with exponent >= min_exponent, exactly."""

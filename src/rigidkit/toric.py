@@ -245,8 +245,11 @@ def stable_displaceability_certificate(m: MomentData, body: ConvexBody):
 def ball_subpolytope(n: int, r) -> ConvexBody:
     """The scaled shifted standard simplex r*conv(0, e_1..e_n) - (1..1)/(n+1).
 
-    Contains the origin exactly when r >= n/(n+1).
+    Contains the origin exactly when r >= n/(n+1).  Like polytopes, n runs
+    from 1 to 4.
     """
+    if not 1 <= n <= 4:
+        raise ToricError(f"ball dimension must be 1 to 4, got {n}")
     r = Fraction(r)
     if not 0 < r <= 1:
         raise ToricError("need 0 < r <= 1")

@@ -70,8 +70,13 @@ def test_index_suite_lets_unexpected_errors_propagate(monkeypatch, callee):
 
 def test_index_suite_skips_regularity_errors(monkeypatch):
     monkeypatch.setattr(spindex, "qm_defect", _raise(spindex.RegularityError))
+    monkeypatch.setattr(spindex, "leray_verify", _raise(spindex.IndexError_))
     rep = acceptance.suite_index(seed=0, trials=1)
     assert rep["qm_defect"]["trials"] == 0
+    # each loop counts its skips by exception class; Leray tries 20 times
+    assert rep["qm_defect"]["skipped"] == {"RegularityError": 1}
+    assert rep["leray"].startswith("0/0")
+    assert rep["leray_skipped"] == {"IndexError_": 20}
     assert not rep["passed"]
 
 

@@ -1,4 +1,4 @@
-"""Golden ``--json`` payloads of the toric and qstate commands.
+"""Golden ``--json`` payloads of the toric, qstate, ring and complex commands.
 
 Each command's report, with ``timing_ms`` removed, must equal the payload
 recorded in ``tests/golden/cli_payloads.json``.  Input paths under the
@@ -37,6 +37,15 @@ COMMANDS = (
     ("toric", "{d}/blowup.polytope.json", "--pspec", "--normalize"),
     ("qstate", "{d}/cpn2.polytope.json", "--zeta", "{d}/vee.pl.json",
      "--heavy", "{d}/ball_half.body.json"),
+    # the exact half: quantum rings and decorated complexes over the Novikov field
+    ("ring", "{d}/quadric.ring.json", "--check-axioms", "--semisimple"),
+    ("ring", "{d}/cpn2_f2.ring.json", "--check-axioms", "--semisimple", "--idempotent", "[M]"),
+    ("ring", "builtin:cpn2-q", "--kunneth", "builtin:quadric"),
+    ("ring", "builtin:quadric", "--divide", "A", "[M]"),
+    ("ring", "builtin:cpn3-q", "--divide", "A", "[M]", "--semisimple"),
+    ("complex", "{d}/a.cplx.json", "--validate", "--spectral-basis", "--c", "h1"),
+    ("complex", "{d}/a.cplx.json", "--tensor", "{d}/b.cplx.json", "--verify-product",
+     "--trials", "5"),
 )
 
 

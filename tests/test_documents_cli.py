@@ -15,6 +15,7 @@ from rigidkit.cli import main as cli_main
 from rigidkit.corpus import random_decorated_complex, random_general_position_pair
 from rigidkit.documents import (
     MAX_HULL_COST,
+    MAX_PL_COST,
     DocumentError,
     dumps_document,
     load_document,
@@ -182,6 +183,48 @@ class TestHullCostLimit:
         for name in ("cpn1", "cpn2", "cpn3", "cpn4", "s2xs2", "blowup"):
             doc = polytope_to_doc(load_document(f"builtin:{name}", "polytope"))
             assert polytope_from_doc(doc).polytope == builtin_moment_data(name).polytope
+
+
+def grid_pl(k):
+    """PL function on the k x k grid triangulation of [-1/2, 1/2]^2, two
+    triangles a square: (k+1)^2 vertices and 2k^2 simplices."""
+    index = lambda i, j: i * (k + 1) + j
+    simplices = []
+    for i in range(k):
+        for j in range(k):
+            simplices += [[index(i, j), index(i + 1, j), index(i + 1, j + 1)],
+                          [index(i, j), index(i, j + 1), index(i + 1, j + 1)]]
+    return {"kind": "pl-function",
+            "vertices": [[str(Fr(i, k) - Fr(1, 2)), str(Fr(j, k) - Fr(1, 2))]
+                         for i in range(k + 1) for j in range(k + 1)],
+            "simplices": simplices, "values": [0] * (k + 1) ** 2}
+
+
+class TestPLCostLimit:
+    cli = TestHullCostLimit.cli
+
+    def test_oversized_pl_function_exits_2_fast(self, tmp_path):
+        # 128 simplices * 81 vertices = 10368 barycentric solves
+        code, rep, elapsed = self.cli(tmp_path, grid_pl(8), "qstate",
+                                      data("cpn2.polytope.json"), "--zeta", "{doc}")
+        assert code == 2 and elapsed < 1.0
+        message = rep["results"]["error"]
+        assert "128 simplices * 81 vertices = 10368" in message and str(MAX_PL_COST) in message
+
+    def test_grids_under_the_limit_and_the_shipped_document_load(self, tmp_path):
+        # 6 x 6: 72 simplices * 49 vertices = 3528
+        path = tmp_path / "grid6.pl.json"
+        path.write_text(json.dumps(grid_pl(6)))
+        assert len(load_document(str(path), "pl-function").simplices) == 72
+        assert len(load_document(data("vee.pl.json"), "pl-function").simplices) == 6
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "5", "600"])
+def test_ball_dimension_out_of_range_exits_2_fast(n, capsys):
+    start = time.perf_counter()
+    code = cli_main(["toric", "--ball", n, "1/2"])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert "ball dimension must be 1 to 4" in capsys.readouterr().out
 
 
 class TestCLI:

@@ -13,7 +13,10 @@ from rigidkit.novikov import (
     LambdaElement,
     NovikovScalar,
     PeriodGroup,
+    _poly_add,
     _poly_gcd_reduce,
+    _poly_mul,
+    _poly_neg,
     group_sum,
     parse_scalar,
 )
@@ -179,6 +182,55 @@ def test_monomial_denominator_needs_no_gcd(field):
         assert _poly_gcd_reduce(field, num, den) == (num, den)
         x = NovikovScalar(field, num, den)
         assert x == NovikovScalar(field, *_poly_gcd_reduce(field, num, den))
+
+
+def small_scalar(rng, field, d, nonzero=False):
+    """At most 3 terms per sum with exponents in (1/d)Z, d at most 3: Euclid
+    over Q blows the coefficients up on larger inputs."""
+    def terms(lo):
+        exps = {Fr(rng.randint(-2 * d, 2 * d), d) for _ in range(rng.randint(lo, 3))}
+        return {e: 1 if field == F2 else Fr(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                for e in exps}
+    return NovikovScalar(field, terms(1 if nonzero else 0), terms(1))
+
+
+def same_scalar(got, want):
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.to_text() == want.to_text() and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("field", [QMODEL, F2])
+def test_arithmetic_matches_the_public_constructor(field):
+    # every arithmetic result equals the validated constructor applied to
+    # the raw polynomial result: one canonical form, whichever path built it
+    rng = random.Random(f"oracle/{field}")
+    mul = lambda a, b: _poly_mul(field, a, b)
+    for _ in range(200):
+        d = rng.randint(1, 3)
+        x, y = small_scalar(rng, field, d), small_scalar(rng, field, d, nonzero=True)
+        same_scalar(x + y, NovikovScalar(field, _poly_add(field, mul(x.num, y.den),
+                                                          mul(y.num, x.den)), mul(x.den, y.den)))
+        same_scalar(x - y, NovikovScalar(
+            field, _poly_add(field, mul(x.num, y.den), _poly_neg(field, mul(y.num, x.den))),
+            mul(x.den, y.den)))
+        same_scalar(x - y, x + (-y))
+        same_scalar(x * y, NovikovScalar(field, mul(x.num, y.num), mul(x.den, y.den)))
+        same_scalar(x / y, NovikovScalar(field, mul(x.num, y.den), mul(x.den, y.num)))
+        same_scalar(-y, NovikovScalar(field, _poly_neg(field, y.num), y.den))
+        same_scalar(y.inverse(), NovikovScalar(field, y.den, y.num))
+        k = rng.choice([-2, 2])
+        num, den = (y.num, y.den) if k > 0 else (y.den, y.num)
+        same_scalar(y ** k, NovikovScalar(field, mul(num, num), mul(den, den)))
+
+
+@pytest.mark.parametrize("field", [QMODEL, F2])
+def test_expansion_terminates_only_over_a_monomial_denominator(field):
+    rng = random.Random(f"expand/{field}")
+    for _ in range(60):
+        x = small_scalar(rng, field, rng.randint(1, 3), nonzero=True)
+        n = rng.randint(2, 6)
+        if len(x.expand(n)) < n:
+            assert len(x.den) == 1
 
 
 class TestPeriodGroup:
