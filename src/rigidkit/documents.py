@@ -44,6 +44,14 @@ MAX_HULL_COST = 50_000
 # shipped vee.pl.json costs 42.
 MAX_PL_COST = 5_000
 
+# Largest class count accepted for a ring.  Loading is linear in the table,
+# but the commands on a ring are not: the deep associativity check forms
+# r^2 (r+1)/2 triple products and the semisimplicity analysis works on r x r
+# matrices over the Novikov field.  At rank 32 (five spheres) the deep check
+# took 0.65 s on a 2-vCPU VM; the shipped documents and built-ins have rank
+# at most 5.
+MAX_RING_RANK = 32
+
 KINDS = ("ring", "complex", "path", "frame", "polytope", "body", "pl-function")
 
 
@@ -89,6 +97,9 @@ def ring_from_doc(doc) -> QuantumAlgebra:
     kappa = doc.get("kappa")
     kappa = _rat_in(kappa) if kappa is not None else None
     classes = _require(doc, "classes", "ring")
+    if len(classes) > MAX_RING_RANK:
+        raise DocumentError(
+            f"ring document: {len(classes)} classes, over the limit {MAX_RING_RANK}")
     labels = tuple(str(c["label"]) for c in classes)
     degrees = tuple(int(c["degree"]) for c in classes)
     unity = _require(doc, "unity", "ring")

@@ -414,16 +414,19 @@ class NovikovScalar:
         """
         if self.is_zero():
             return {}
+        if len(self.den) == 1:
+            # a reduced fraction's series terminates exactly over a monomial
+            # den: it is num / den, down to the lowest numerator term
+            return dict(sorted(self.expand_to(min(self.num) - _poly_top(self.den)).items(),
+                               reverse=True)[:num_terms])
         # expansion exponents live in a discrete progression; step down
         # by the exponent lattice of num/den until enough terms collected
         delta = math.lcm(*(e.denominator for e in (*self.num, *self.den)))
         step = Fraction(1, delta)
-        top = self.valuation()
-        floor = top - num_terms * step * max(1, len(self.den) + len(self.num))
+        floor = self.valuation() - num_terms * step * (len(self.den) + len(self.num))
         out = self.expand_to(floor)
         for _ in range(64):
-            # a reduced fraction's series terminates exactly over a monomial den
-            if len(out) >= num_terms or len(self.den) == 1:
+            if len(out) >= num_terms:
                 break
             floor -= num_terms * step * 4
             out = self.expand_to(floor)

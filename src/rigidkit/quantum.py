@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 from . import linalg
 from .novikov import (
@@ -172,9 +173,6 @@ class QuantumAlgebra:
     def entry(self, i, j):
         return self.table.get((min(i, j), max(i, j)), {})
 
-    def element(self, coeffs):
-        return QHElement(self, coeffs)
-
     def zero(self):
         return QHElement(self, {})
 
@@ -192,39 +190,45 @@ class QuantumAlgebra:
     def check_axioms(self, deep=True):
         """Verify commutativity (by storage), unity, grading, associativity.
 
-        Returns a list of violation strings (empty = all axioms hold).
+        Returns a list of violation strings (empty = all axioms hold).  The
+        table is symmetric by storage, so (b_x b_y) b_z = sum_m T[x][y][m] T[m][z]
+        depends only on the pair {x, y} and z, and b_i (b_j b_k) = (b_j b_k) b_i.
+        The deep check reads each such product once from the table.
         """
-        bad = []
-        n2 = self.basis.dimension_2n
-        for i in range(self.rank):
-            prod = qprod(self, self.unity(), self.basis_element(i))
-            if prod != self.basis_element(i):
-                bad.append(f"unity fails on class {self.basis.labels[i]}")
+        bad, r, labels = [], self.rank, self.basis.labels
+        n2, degrees = self.basis.dimension_2n, self.basis.degrees
+        for i in range(r):
+            if qprod(self, self.unity(), self.basis_element(i)) != self.basis_element(i):
+                bad.append(f"unity fails on class {labels[i]}")
         for (i, j), entry in self.table.items():
-            want = self.basis.degrees[i] + self.basis.degrees[j] - n2
+            want = degrees[i] + degrees[j] - n2
             for k, lam in entry.items():
                 for qp in lam.q_powers():
-                    if self.basis.degrees[k] + 2 * qp != want:
-                        bad.append(
-                            f"grading fails in {self.basis.labels[i]}*{self.basis.labels[j]}"
-                            f" at class {self.basis.labels[k]} q^{qp}")
+                    if degrees[k] + 2 * qp != want:
+                        bad.append(f"grading fails in {labels[i]}*{labels[j]}"
+                                   f" at class {labels[k]} q^{qp}")
                 if not lam.exponents_in(self.gamma):
-                    bad.append(
-                        f"exponent outside period group in "
-                        f"{self.basis.labels[i]}*{self.basis.labels[j]}")
+                    bad.append(f"exponent outside period group in {labels[i]}*{labels[j]}")
         if deep:
-            r = self.rank
-            els = [self.basis_element(i) for i in range(r)]
-            prods = [[qprod(self, els[i], els[j]) for j in range(r)] for i in range(r)]
-            for i in range(r):
-                for j in range(r):
-                    for k in range(r):
-                        lhs = qprod(self, prods[i][j], els[k])
-                        if lhs != qprod(self, els[i], prods[j][k]):
-                            bad.append(
-                                f"associativity fails on "
-                                f"({self.basis.labels[i]},{self.basis.labels[j]},{self.basis.labels[k]})")
+            failing = set()
+            for i, j, k in combinations_with_replacement(range(r), 3):
+                # (b_x b_y) b_z over the multiset {i, j, k} depends only on z
+                by_last = {}
+                for x, y, z in ((i, j, k), (i, k, j), (j, k, i)):
+                    if z not in by_last:
+                        by_last[z] = self._bracket(x, y, z)
+                failing.update(t for t in permutations((i, j, k)) if by_last[t[2]] != by_last[t[0]])
+            bad += [f"associativity fails on ({labels[i]},{labels[j]},{labels[k]})"
+                    for i, j, k in sorted(failing)]
         return bad
+
+    def _bracket(self, i, j, k):
+        """(b_i b_j) b_k as {class: coefficient}, read from the table."""
+        out = {}
+        for m, lam in self.entry(i, j).items():
+            for n, c in self.entry(m, k).items():
+                out[n] = out[n] + lam * c if n in out else lam * c
+        return {n: x for n, x in out.items() if not x.is_zero()}
 
     # -- the top-degree slice as a scalar-field algebra -----------------
     def top_slice_constants(self):
@@ -298,18 +302,11 @@ def is_idempotent(algebra: QuantumAlgebra, x: QHElement) -> bool:
     return qprod(algebra, x, x) == x
 
 
-def frobenius_series(algebra: QuantumAlgebra, x: QHElement, y: QHElement) -> NovikovScalar:
-    """Coefficient of the point class (at q^0) in x*y, as a scalar."""
-    prod = qprod(algebra, x, y)
-    lam = prod.coeffs.get(algebra.basis.point_index)
-    if lam is None:
-        return NovikovScalar.zero(algebra.field)
-    return lam.coefficient(0)
-
-
 def frobenius(algebra: QuantumAlgebra, x: QHElement, y: QHElement):
-    """Base-field pairing: free term of the point-class coefficient of x*y."""
-    return frobenius_series(algebra, x, y).free_term()
+    """Base-field pairing: free term of the q^0 point-class coefficient of x*y."""
+    zero = LambdaElement.zero(algebra.field)
+    lam = qprod(algebra, x, y).coeffs.get(algebra.basis.point_index, zero)
+    return lam.coefficient(0).free_term()
 
 
 def frobenius_gram(algebra: QuantumAlgebra):
@@ -317,11 +314,12 @@ def frobenius_gram(algebra: QuantumAlgebra):
 
     The pairing couples classes of complementary degrees (the q^0 point
     coefficient of b_i * b_j vanishes unless deg_i + deg_j = 2n), so the
-    Gram matrix is antidiagonal-ish; full rank means nondegeneracy.
+    Gram matrix is antidiagonal-ish; full rank means nondegeneracy.  Entry
+    (i, j) is read from the table: the q^0 coefficient of T[i][j][point].
     """
-    r = algebra.rank
-    els = [algebra.basis_element(i) for i in range(r)]
-    return [[frobenius_series(algebra, els[i], els[j]) for j in range(r)] for i in range(r)]
+    r, zero = algebra.rank, LambdaElement.zero(algebra.field)
+    return [[algebra.entry(i, j).get(algebra.basis.point_index, zero).coefficient(0)
+             for j in range(r)] for i in range(r)]
 
 
 # ---------------------------------------------------------------------------

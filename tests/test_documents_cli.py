@@ -7,24 +7,30 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as Fr
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rigidkit
 from rigidkit.cli import main as cli_main
 from rigidkit.corpus import random_decorated_complex, random_general_position_pair
 from rigidkit.documents import (
     MAX_HULL_COST,
     MAX_PL_COST,
+    MAX_RING_RANK,
     DocumentError,
     dumps_document,
     load_document,
     polytope_from_doc,
     polytope_to_doc,
+    ring_from_doc,
+    ring_to_doc,
     save_document,
 )
 from rigidkit.novikov import QMODEL
-from rigidkit.quantum import projective_space, quadric_surface
+from rigidkit.quantum import builtin_algebra, kunneth, projective_space, quadric_surface
 from rigidkit import spindex
 from rigidkit.spindex import LagrangianFrame, MatrixPath, rotation_generator
 from rigidkit.toric import ball_subpolytope, builtin_moment_data
@@ -219,6 +225,44 @@ class TestPLCostLimit:
         assert len(load_document(data("vee.pl.json"), "pl-function").simplices) == 6
 
 
+def ring_power(*names):
+    """The Kunneth product of the named built-in rings."""
+    return reduce(kunneth, (builtin_algebra(n) for n in names))
+
+
+class TestRingRankLimit:
+    cli = TestHullCostLimit.cli
+
+    def test_oversized_product_exits_2_fast(self, tmp_path):
+        doc = ring_to_doc(ring_power("cpn2-q", "cpn2-q", "s2", "s2"))
+        code, rep, elapsed = self.cli(tmp_path, doc, "ring", "{doc}", "--check-axioms")
+        assert code == 2 and elapsed < 1.0
+        message = rep["results"]["error"]
+        assert "36 classes" in message and str(MAX_RING_RANK) in message
+
+    def test_rank_is_checked_before_the_table(self, tmp_path):
+        # 5000 classes and rows that would fail to parse: the class count alone refuses it
+        doc = {"kind": "ring", "base_field": "Q", "dimension_2n": 2, "gamma_generator": 1,
+               "classes": [{"label": f"c{i}", "degree": 0} for i in range(5000)],
+               "unity": "c0", "point": "c1", "table": [{"i": "?"}] * 100_000}
+        code, rep, elapsed = self.cli(tmp_path, doc, "ring", "{doc}", "--semisimple")
+        assert code == 2 and elapsed < 1.0
+        assert "5000 classes" in rep["results"]["error"]
+
+    def test_limit_and_the_shipped_rings_load(self, tmp_path):
+        assert MAX_RING_RANK >= 16
+        top = ring_power(*["s2"] * 5)
+        assert top.rank == MAX_RING_RANK
+        assert ring_from_doc(ring_to_doc(top)) == top
+        for name in sorted(os.listdir(DATA)):
+            if name.endswith(".ring.json"):
+                assert load_document(data(name), "ring").rank <= MAX_RING_RANK
+        for name in ("cpn1-f2", "cpn2-f2", "cpn3-f2", "cpn4-f2", "cpn1-q", "cpn2-q",
+                     "cpn3-q", "cpn4-q", "s2", "quadric", "t2"):
+            alg = load_document(f"builtin:{name}", "ring")
+            assert ring_from_doc(ring_to_doc(alg)) == alg
+
+
 @pytest.mark.parametrize("n", ["0", "-1", "5", "600"])
 def test_ball_dimension_out_of_range_exits_2_fast(n, capsys):
     start = time.perf_counter()
@@ -399,15 +443,22 @@ class TestCLI:
         assert json.loads(out)["status"] == "violation"
 
 
+def run_module(module):
+    """`python -m module --help` in a child process that imports the same
+    rigidkit as the tests: pytest's pythonpath setting does not reach it."""
+    path = [str(Path(rigidkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run([sys.executable, "-m", module, "--help"],
+                          capture_output=True, text=True, env=env)
+
+
 def test_console_script_installed():
-    proc = subprocess.run([sys.executable, "-m", "rigidkit.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = run_module("rigidkit.cli")
     assert proc.returncode == 0
     assert "rigidkit" in proc.stdout
 
 
 def test_module_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "rigidkit", "--help"],
-                          capture_output=True, text=True)
+    proc = run_module("rigidkit")
     assert proc.returncode == 0
     assert "rigidkit" in proc.stdout

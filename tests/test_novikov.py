@@ -233,6 +233,24 @@ def test_expansion_terminates_only_over_a_monomial_denominator(field):
             assert len(x.den) == 1
 
 
+@pytest.mark.parametrize("field", [QMODEL, F2])
+def test_expansion_over_a_monomial_denominator_is_num_over_den(field):
+    x = NovikovScalar(field, {10: 1, -100: 1})
+    assert x.expand(5) == {10: 1, -100: 1}
+    assert x.expand(1) == {10: 1}
+    y = NovikovScalar(field, {Fr(7, 2): 1, -50: 1, -300: 1}, {5: 1})
+    assert y.expand(2) == {Fr(-3, 2): 1, -55: 1}
+    assert y.expand(10) == {Fr(-3, 2): 1, -55: 1, -305: 1}
+    rng = random.Random(f"monomial/{field}")
+    for _ in range(60):
+        num = small_scalar(rng, field, rng.randint(1, 3), nonzero=True).num
+        e = Fr(rng.randint(-12, 12), rng.randint(1, 3))
+        c = 1 if field == F2 else rng.choice([2, -3])
+        want = sorted(((k - e, Fr(v) / c) for k, v in num.items()), reverse=True)
+        for n in (1, 3, 10):
+            assert NovikovScalar(field, num, {e: c}).expand(n) == dict(want[:n])
+
+
 class TestPeriodGroup:
     def test_group_sum_gcd(self):
         assert group_sum(PeriodGroup(Fr(1, 2)), PeriodGroup(Fr(1, 3))) == PeriodGroup(Fr(1, 6))

@@ -364,6 +364,34 @@ def associativity_oracle(alg):
     return bad
 
 
+def gram_oracle(alg):
+    """The q^0 point coefficient of qprod(b_i, b_j), one product per entry."""
+    els = [alg.basis_element(i) for i in range(alg.rank)]
+    zero = LambdaElement.zero(alg.field)
+    return [[qprod(alg, x, y).coeffs.get(alg.basis.point_index, zero).coefficient(0)
+             for y in els] for x in els]
+
+
+def corrupt(alg, rng):
+    """A copy of alg with 1-3 table cells changed: a term scaled, a second
+    term added, or a term moved to another class (often the point class,
+    so that the Gram matrix changes too)."""
+    table = {key: dict(entry) for key, entry in alg.table.items()}
+    s = NovikovScalar.monomial(alg.field, 1 if alg.field == F2 else rng.choice([2, -3]),
+                               rng.choice([0, alg.gamma.generator, Fr(1, 7)]))
+    for _ in range(rng.randint(1, 3)):
+        entry = table[rng.choice([key for key in sorted(table) if table[key]])]
+        k, mode = rng.choice(sorted(entry)), rng.choice(["scale", "add", "move"])
+        if mode == "scale":
+            entry[k] = entry[k].scale(s)
+            continue
+        lam = entry.pop(k) if mode == "move" else LambdaElement.q_power(
+            alg.field, rng.choice([0, 0, -1, 1]), s)
+        k = rng.choice([alg.basis.point_index, rng.randrange(alg.rank)])
+        entry[k] = entry[k] + lam if k in entry else lam
+    return QuantumAlgebra(alg.field, alg.basis, alg.gamma, table, alg.kappa)
+
+
 class TestSliceTable:
     def test_built_once(self):
         alg = kunneth(builtin_algebra("cpn1-q"), builtin_algebra("cpn2-q"))
@@ -398,3 +426,15 @@ class TestSliceTable:
         for alg in (cpn2, broken, builtin_algebra("quadric"), builtin_algebra("cpn3-f2"),
                     kunneth(builtin_algebra("s2"), builtin_algebra("cpn2-q"))):
             assert alg.check_axioms() == alg.check_axioms(deep=False) + associativity_oracle(alg)
+
+    @pytest.mark.parametrize("names", [("cpn2-q", "cpn2-q"), ("cpn2-f2", "cpn3-f2")])
+    def test_broken_tables_match_the_oracles(self, names):
+        alg = kunneth(*(builtin_algebra(n) for n in names))
+        assert alg.rank >= 9
+        rng = random.Random("/".join(names))
+        broken = [corrupt(alg, rng) for _ in range(4)]
+        assert any(associativity_oracle(b) for b in broken)
+        assert any(gram_oracle(b) != gram_oracle(alg) for b in broken)
+        for b in (alg, *broken):
+            assert b.check_axioms() == b.check_axioms(deep=False) + associativity_oracle(b)
+            assert frobenius_gram(b) == gram_oracle(b)
