@@ -249,7 +249,7 @@ class TestRingRankLimit:
         assert code == 2 and elapsed < 1.0
         assert "5000 classes" in rep["results"]["error"]
 
-    def test_limit_and_the_shipped_rings_load(self, tmp_path):
+    def test_limit_and_the_shipped_rings_load(self):
         assert MAX_RING_RANK >= 16
         top = ring_power(*["s2"] * 5)
         assert top.rank == MAX_RING_RANK
