@@ -52,6 +52,14 @@ MAX_PL_COST = 5_000
 # at most 5.
 MAX_RING_RANK = 32
 
+# Largest deep-check cost accepted for a ring: over the stored table entries
+# (i, j) and the classes m in each, the sum of the number of terms in row m,
+# which is the work of forming (b_i b_j) b_z for every z.  The rank bound
+# alone lets a dense table through: a rank-16 table with a term at every
+# class costs about 5.6e5 and its deep check took 25.8 s on a 2-vCPU VM.
+# Five spheres (rank 32), the costliest product of built-ins, cost 16 896.
+MAX_RING_COST = 20_000
+
 KINDS = ("ring", "complex", "path", "frame", "polytope", "body", "pl-function")
 
 
@@ -118,11 +126,26 @@ def ring_from_doc(doc) -> QuantumAlgebra:
             lam = LambdaElement.q_power(field, qpow, sc)
             entry[k] = entry[k] + lam if k in entry else lam
         table[(i, j)] = entry
+    _check_ring_cost(table)
     alg = QuantumAlgebra(field, basis, gamma, table, kappa, name=doc.get("name", ""))
     bad = alg.check_axioms(deep=len(labels) <= 6)
     if bad:
         raise DocumentError("ring axioms violated: " + "; ".join(bad[:4]))
     return alg
+
+
+def _check_ring_cost(table):
+    """Fail closed before a deep associativity check that would cost more
+    than MAX_RING_COST (see there)."""
+    row_terms = {}
+    for (i, j), entry in table.items():
+        for m in {i, j}:
+            row_terms[m] = row_terms.get(m, 0) + len(entry)
+    cost = sum(row_terms.get(m, 0) for entry in table.values() for m in entry)
+    if cost > MAX_RING_COST:
+        raise DocumentError(
+            f"ring document: the deep associativity check costs {cost},"
+            f" over the limit {MAX_RING_COST}")
 
 
 def ring_to_doc(alg: QuantumAlgebra) -> dict:

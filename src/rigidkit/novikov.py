@@ -2,8 +2,12 @@
 
 Scalars are stored as fractions num/den of finitely supported sums
 ``sum_theta z_theta * s^theta`` with rational exponents theta and
-coefficients z_theta in a base field (GF(2) or the rationals).  All
-operations are exact; no series is ever truncated except in the explicit
+coefficients z_theta in a base field (GF(2) or the rationals).  A scalar
+keeps its exponents on one lattice: num and den have int keys e, standing
+for theta = e/delta, with delta the smallest step that holds them all.
+Fractions appear only at the boundaries: the public constructor, the text
+form, valuation, expansion, free term and period groups.  All operations
+are exact; no series is ever truncated except in the explicit
 :func:`NovikovScalar.expand` helper, which exists as an independent
 cross-check for the valuation and free-term computations.
 
@@ -34,9 +38,7 @@ class FieldMismatchError(ValueError):
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not a rational: {x!r}")
 
@@ -66,9 +68,6 @@ class PeriodGroup:
     @classmethod
     def trivial(cls) -> "PeriodGroup":
         return cls(0)
-
-    def is_trivial(self) -> bool:
-        return self.generator == 0
 
     def residue(self, theta) -> Fraction:
         """theta modulo the group: in [0, generator), or theta itself when trivial.
@@ -135,11 +134,8 @@ def _cinv(field, a):
 
 
 # ---------------------------------------------------------------------------
-# finitely supported sums  {exponent: coefficient}
-
-def _poly_clean(field, p):
-    return {e: c for e, c in p.items() if c != 0}
-
+# finitely supported sums {key: coefficient}: key e stands for s^(e/delta),
+# with delta the step of the scalar (or of the aligned pair) holding the sum
 
 def _poly_add(field, a, b):
     out = dict(a)
@@ -162,6 +158,11 @@ def _poly_neg(field, a):
 
 
 def _poly_mul(field, a, b):
+    # canonical denominators are mostly the unit sum {0: 1}
+    if len(b) == 1 and b.get(0) == 1:
+        return a
+    if len(a) == 1 and a.get(0) == 1:
+        return b
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -178,37 +179,34 @@ def _poly_mul(field, a, b):
     return out
 
 
-def _poly_scale(field, a, c, shift=Fraction(0)):
-    if c == 0:
-        return {}
-    return {e + shift: _cmul(field, coef, c) for e, coef in a.items()}
+def _on_lattice(num, den):
+    """Fraction-keyed num and den as int keys over their common step 1/delta."""
+    delta = math.lcm(*(e.denominator for p in (num, den) for e in p))
+    return (*({e.numerator * (delta // e.denominator): c for e, c in p.items()}
+              for p in (num, den)), delta)
 
 
-def _poly_top(a):
-    return max(a) if a else None
-
-
-def _poly_lead(a):
-    return a[max(a)]
+def _aligned(x, y):
+    """num and den of scalars x and y over their common step, and that step."""
+    if x.delta == y.delta:
+        return x.num, x.den, y.num, y.den, x.delta
+    d = math.lcm(x.delta, y.delta)
+    # the same sums over a finer step: every key times d / delta
+    kx, ky = d // x.delta, d // y.delta
+    return (*({e * kx: c for e, c in p.items()} for p in (x.num, x.den)),
+            *({e * ky: c for e, c in p.items()} for p in (y.num, y.den)), d)
 
 
 def _poly_gcd_reduce(field, num, den):
-    """Divide num and den (both nonzero) by their polynomial gcd (via a
-    t = s^(1/delta) substitution)."""
-    exps = list(num) + list(den)
-    delta = math.lcm(*(e.denominator for e in exps))
-    lo = min(exps)
+    """Divide num and den (both nonzero, int keys) by their polynomial gcd."""
+    lo = min(min(num), min(den))
+    zero = _coeff(field, 0)
 
     def to_dense(p):
-        deg = max(int((e - lo) * delta) for e in p) if p else 0
-        v = [0 if field == F2 else Fraction(0)] * (deg + 1)
+        # the top coefficient is nonzero, so the list needs no trimming
+        v = [zero] * (max(p) - lo + 1)
         for e, c in p.items():
-            v[int((e - lo) * delta)] = c
-        return v
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
+            v[e - lo] = c
         return v
 
     def poly_divmod(a, b):
@@ -216,39 +214,34 @@ def _poly_gcd_reduce(field, num, den):
         r = list(a)
         db = len(b) - 1
         inv_lb = _cinv(field, b[-1])
-        q = [_coeff(field, 0)] * (len(a) - db)
+        q = [zero] * (len(a) - db)
         while len(r) - 1 >= db and r:
             f = _cmul(field, r[-1], inv_lb)
             shift = len(r) - 1 - db
             q[shift] = f
             for i, bc in enumerate(b):
                 r[shift + i] = _cadd(field, r[shift + i], _cneg(field, _cmul(field, f, bc)))
-            r = trim(r)
+            while r and r[-1] == 0:
+                r.pop()
         return q, r
 
-    a = trim(to_dense(num))
-    b = trim(to_dense(den))
+    g, b = to_dense(num), to_dense(den)
     while b:
-        a, b = b, poly_divmod(a, b)[1]
-    g = a
+        g, b = b, poly_divmod(g, b)[1]
     if len(g) <= 1:
         return num, den
-
-    def to_sparse(v, base):
-        return {base + Fraction(i, delta): c for i, c in enumerate(v) if c != 0}
-
-    qn = poly_divmod(trim(to_dense(num)), g)[0]
-    qd = poly_divmod(trim(to_dense(den)), g)[0]
     # num = qn * g * s^lo-ish; the common monomial factor cancels in num/den
-    return to_sparse(qn, Fraction(0)), to_sparse(qd, Fraction(0))
+    return tuple({i: c for i, c in enumerate(poly_divmod(to_dense(p), g)[0]) if c != 0}
+                 for p in (num, den))
 
 
-def _canonical(field, num, den):
-    """Canonical form of num/den for clean sums num and den (den nonzero):
-    reduced by the polynomial gcd, den with minimal exponent 0 and leading
-    coefficient 1.  Zero is ({}, {0: 1})."""
+def _canonical(field, num, den, delta):
+    """Canonical form of num/den over the step 1/delta, for clean sums num
+    and den (den nonzero): reduced by the polynomial gcd, den with minimal
+    key 0 and leading coefficient 1, delta minimal (gcd(delta, *keys) = 1).
+    Zero is ({}, {0: 1}, 1)."""
     if not num:
-        return {}, {Fraction(0): _coeff(field, 1)}
+        return {}, {0: _coeff(field, 1)}, 1
     # over a monomial denominator the Laurent gcd is always a unit
     if len(den) > 1:
         num, den = _poly_gcd_reduce(field, num, den)
@@ -261,37 +254,45 @@ def _canonical(field, num, den):
         inv = _cinv(field, lead)
         num = {e: _cmul(field, c, inv) for e, c in num.items()}
         den = {e: _cmul(field, c, inv) for e, c in den.items()}
-    return num, den
+    if delta > 1:
+        g = math.gcd(delta, *num, *den)
+        if g > 1:
+            num = {e // g: c for e, c in num.items()}
+            den = {e // g: c for e, c in den.items()}
+            delta //= g
+    return num, den, delta
 
 
-def _from_parts(field, num, den):
-    """Scalar with the canonical num/den of an arithmetic result, unchecked."""
+def _from_parts(field, num, den, delta):
+    """Scalar with the canonical num/den/delta of an arithmetic result, unchecked."""
     x = object.__new__(NovikovScalar)
-    x.field, x.num, x.den, x._hash = field, num, den, None
+    x.field, x.num, x.den, x.delta, x._hash = field, num, den, delta, None
     return x
 
 
 class NovikovScalar:
     """Element of the fraction field of finitely supported sums sum z*s^theta.
 
+    num and den map int keys e to coefficients, for the exponents e/delta;
+    the step 1/delta is the coarsest that holds them (gcd(delta, *keys) = 1).
     The representation is canonical: num/den is reduced by the polynomial
-    gcd, the denominator has minimal exponent 0 and leading coefficient 1.
-    Scalars are immutable; num and den are never changed after construction.
+    gcd, the denominator has minimal key 0 and leading coefficient 1.
+    Scalars are immutable; num, den and delta never change after construction.
     """
 
-    __slots__ = ("field", "num", "den", "_hash")
+    __slots__ = ("field", "num", "den", "delta", "_hash")
 
     def __init__(self, field, num, den=None):
         if field not in _FIELDS:
             raise ValueError(f"unknown base field {field!r}")
         if den is None:
-            den = {Fraction(0): 1}
-        num = _poly_clean(field, {_rat(e): _coeff(field, c) for e, c in num.items()})
-        den = _poly_clean(field, {_rat(e): _coeff(field, c) for e, c in den.items()})
+            den = {0: 1}
+        num, den = ({e: c for e, c in {_rat(e): _coeff(field, c) for e, c in p.items()}.items()
+                     if c != 0} for p in (num, den))
         if not den:
             raise ZeroDivisionError("denominator is zero")
         self.field = field
-        self.num, self.den = _canonical(field, num, den)
+        self.num, self.den, self.delta = _canonical(field, *_on_lattice(num, den))
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -303,7 +304,7 @@ class NovikovScalar:
     @classmethod
     def one(cls, field) -> "NovikovScalar":
         """The one of field: one shared instance per field."""
-        return _ONES[field] if field in _FIELDS else cls(field, {Fraction(0): 1})
+        return _ONES[field] if field in _FIELDS else cls(field, {0: 1})
 
     @classmethod
     def monomial(cls, field, coeff, exponent) -> "NovikovScalar":
@@ -311,7 +312,7 @@ class NovikovScalar:
 
     @classmethod
     def constant(cls, field, coeff) -> "NovikovScalar":
-        return cls(field, {Fraction(0): coeff})
+        return cls(field, {0: coeff})
 
     @classmethod
     def from_terms(cls, field, terms) -> "NovikovScalar":
@@ -335,9 +336,9 @@ class NovikovScalar:
     def __add__(self, other):
         self._check(other)
         f = self.field
-        num = _poly_add(f, _poly_mul(f, self.num, other.den),
-                        _poly_mul(f, other.num, self.den))
-        return _from_parts(f, *_canonical(f, num, _poly_mul(f, self.den, other.den)))
+        xn, xd, yn, yd, d = _aligned(self, other)
+        num = _poly_add(f, _poly_mul(f, xn, yd), _poly_mul(f, yn, xd))
+        return _from_parts(f, *_canonical(f, num, _poly_mul(f, xd, yd), d))
 
     def __sub__(self, other):
         self._check(other)
@@ -345,31 +346,29 @@ class NovikovScalar:
 
     def __neg__(self):
         # negating the numerator keeps the canonical form
-        return _from_parts(self.field, _poly_neg(self.field, self.num), self.den)
+        return _from_parts(self.field, _poly_neg(self.field, self.num), self.den, self.delta)
 
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        return _from_parts(f, *_canonical(f, _poly_mul(f, self.num, other.num),
-                                          _poly_mul(f, self.den, other.den)))
+        xn, xd, yn, yd, d = _aligned(self, other)
+        return _from_parts(f, *_canonical(f, _poly_mul(f, xn, yn), _poly_mul(f, xd, yd), d))
 
     def inverse(self) -> "NovikovScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0")
-        return _from_parts(self.field, *_canonical(self.field, self.den, self.num))
+        return _from_parts(self.field, *_canonical(self.field, self.den, self.num, self.delta))
 
     def __truediv__(self, other):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero")
         f = self.field
-        return _from_parts(f, *_canonical(f, _poly_mul(f, self.num, other.den),
-                                          _poly_mul(f, self.den, other.num)))
+        xn, xd, yn, yd, d = _aligned(self, other)
+        return _from_parts(f, *_canonical(f, _poly_mul(f, xn, yd), _poly_mul(f, xd, yn), d))
 
     def __pow__(self, k: int):
-        if k == 0:
-            return NovikovScalar.one(self.field)
-        base = self if k > 0 else self.inverse()
+        base = self if k >= 0 else self.inverse()
         k = abs(k)
         out = NovikovScalar.one(self.field)
         while k:
@@ -382,12 +381,12 @@ class NovikovScalar:
     def __eq__(self, other):
         if not isinstance(other, NovikovScalar):
             return NotImplemented
-        return (self.field == other.field and self.num == other.num
-                and self.den == other.den)
+        return (self.field == other.field and self.delta == other.delta
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field,
+            self._hash = hash((self.field, self.delta,
                                tuple(sorted(self.num.items())),
                                tuple(sorted(self.den.items()))))
         return self._hash
@@ -397,13 +396,12 @@ class NovikovScalar:
         """Top exponent of the series; -inf for 0."""
         if self.is_zero():
             return NEG_INF
-        return _poly_top(self.num) - _poly_top(self.den)
+        return Fraction(max(self.num) - max(self.den), self.delta)
 
     def leading_coefficient(self):
         if self.is_zero():
             raise ValueError("0 has no leading coefficient")
-        f = self.field
-        return _cmul(f, _poly_lead(self.num), _cinv(f, _poly_lead(self.den)))
+        return self.num[max(self.num)]  # den's leading coefficient is 1
 
     def expand(self, num_terms: int = 10):
         """Truncated descending-series expansion, at most num_terms terms.
@@ -416,37 +414,40 @@ class NovikovScalar:
             return {}
         if len(self.den) == 1:
             # a reduced fraction's series terminates exactly over a monomial
-            # den: it is num / den, down to the lowest numerator term
-            return dict(sorted(self.expand_to(min(self.num) - _poly_top(self.den)).items(),
-                               reverse=True)[:num_terms])
-        # expansion exponents live in a discrete progression; step down
-        # by the exponent lattice of num/den until enough terms collected
-        delta = math.lcm(*(e.denominator for e in (*self.num, *self.den)))
-        step = Fraction(1, delta)
-        floor = self.valuation() - num_terms * step * (len(self.den) + len(self.num))
-        out = self.expand_to(floor)
-        for _ in range(64):
-            if len(out) >= num_terms:
-                break
-            floor -= num_terms * step * 4
-            out = self.expand_to(floor)
-        return dict(sorted(out.items(), reverse=True)[:num_terms])
+            # den, which is 1 in canonical form: the series is num itself
+            out = self.num
+        else:
+            # expansion keys lie on the scalar's own lattice; step down by
+            # whole keys until enough terms are collected
+            floor = (max(self.num) - max(self.den)
+                     - num_terms * (len(self.den) + len(self.num)))
+            out = self._series(floor)
+            for _ in range(64):
+                if len(out) >= num_terms:
+                    break
+                floor -= num_terms * 4
+                out = self._series(floor)
+        return {Fraction(e, self.delta): out[e] for e in sorted(out, reverse=True)[:num_terms]}
 
     def expand_to(self, min_exponent):
         """All series terms with exponent >= min_exponent, exactly."""
         if self.is_zero():
             return {}
-        f = self.field
         m = _rat(min_exponent)
-        e_d = _poly_top(self.den)
-        c_d = self.den[e_d]
-        inv = _cinv(f, c_d)
-        # den = c*s^e*(1 - r),  r strictly lower order
-        r = {e - e_d: _cneg(f, _cmul(f, c, inv)) for e, c in self.den.items() if e != e_d}
-        base = _poly_scale(f, self.num, inv, -e_d)
-        cutoff = m
+        # the smallest key e with e/delta >= m is ceil(m * delta)
+        out = self._series(-(-m.numerator * self.delta // m.denominator))
+        return {Fraction(e, self.delta): c for e, c in out.items()}
+
+    def _series(self, cutoff):
+        """All series terms with key >= cutoff, on int keys (self nonzero)."""
+        f = self.field
+        e_d = max(self.den)
+        # den = s^e*(1 - r), r strictly lower order: its leading coefficient is 1
+        r = {e - e_d: _cneg(f, c) for e, c in self.den.items() if e != e_d}
+        base = {e - e_d: c for e, c in self.num.items()}
+        top_base = max(base)
         out = {}
-        power = {Fraction(0): _coeff(f, 1)}
+        power = {0: _coeff(f, 1)}
         guard = 0
         while power:
             contrib = _poly_mul(f, base, power)
@@ -455,9 +456,7 @@ class NovikovScalar:
                     out[e] = _cadd(f, out.get(e, _coeff(f, 0)), c)
             power = _poly_mul(f, power, r)
             # drop power terms that can no longer contribute above cutoff
-            if base:
-                top_base = _poly_top(base)
-                power = {e: c for e, c in power.items() if e + top_base >= cutoff}
+            power = {e: c for e, c in power.items() if e + top_base >= cutoff}
             guard += 1
             if guard > 100000:
                 raise RuntimeError("expansion did not terminate")
@@ -465,22 +464,24 @@ class NovikovScalar:
 
     def free_term(self):
         """Coefficient of s^0 in the full series expansion."""
-        if self.is_zero():
-            return _coeff(self.field, 0)
-        if self.valuation() < 0:
-            return _coeff(self.field, 0)
-        return self.expand_to(0).get(Fraction(0), _coeff(self.field, 0))
+        zero = _coeff(self.field, 0)
+        if self.is_zero() or max(self.num) < max(self.den):
+            return zero
+        return self._series(0).get(0, zero)
 
     def exponents_in(self, group: PeriodGroup) -> bool:
-        return (all(group.contains(e) for e in self.num)
-                and all(group.contains(e) for e in self.den))
+        # e/delta lies in (p/q)Z exactly when delta*p divides e*q
+        g = group.generator
+        m, q = self.delta * g.numerator, g.denominator
+        keys = (*self.num, *self.den)
+        return all(e == 0 for e in keys) if m == 0 else all(e * q % m == 0 for e in keys)
 
     # -- text form -------------------------------------------------------
     def to_text(self) -> str:
-        num = _sum_to_text(self.field, self.num)
-        if self.den == {Fraction(0): _coeff(self.field, 1)}:
+        num = _sum_to_text(self.field, self.num, self.delta)
+        if len(self.den) == 1:  # a monomial den is 1 in canonical form
             return num
-        return f"({num})/({_sum_to_text(self.field, self.den)})"
+        return f"({num})/({_sum_to_text(self.field, self.den, self.delta)})"
 
     def __repr__(self):
         return f"NovikovScalar[{self.field}]({self.to_text()})"
@@ -488,7 +489,7 @@ class NovikovScalar:
 
 # scalars are immutable, so each field's zero and one are built once
 _ZEROS = {f: NovikovScalar(f, {}) for f in _FIELDS}
-_ONES = {f: NovikovScalar(f, {Fraction(0): 1}) for f in _FIELDS}
+_ONES = {f: NovikovScalar(f, {0: 1}) for f in _FIELDS}
 
 
 def _frac_text(x) -> str:
@@ -496,7 +497,7 @@ def _frac_text(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _sum_to_text(field, poly) -> str:
+def _sum_to_text(field, poly, delta) -> str:
     if not poly:
         return "0"
     parts = []
@@ -509,11 +510,9 @@ def _sum_to_text(field, poly) -> str:
             mag = _frac_text(-c if neg else c)
         if "/" in mag:
             mag = f"({mag})"
-        term = f"{mag}*s^({_frac_text(e)})"
-        if not parts:
-            parts.append(("-" if neg else "") + term)
-        else:
-            parts.append(("- " if neg else "+ ") + term)
+        term = f"{mag}*s^({_frac_text(Fraction(e, delta))})"
+        sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
+        parts.append(sign + term)
     return " ".join(parts)
 
 

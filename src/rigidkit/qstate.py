@@ -75,13 +75,6 @@ class PLFunction:
                 return sum(b * self.values[i] for b, i in zip(bc, s))
         raise QStateError(f"point {tuple(map(str, p))} outside the triangulated domain")
 
-    def domain_contains(self, point) -> bool:
-        try:
-            self.evaluate(point)
-            return True
-        except QStateError:
-            return False
-
     def same_triangulation(self, other: "PLFunction") -> bool:
         return (self.vertices == other.vertices
                 and self.simplices == other.simplices)

@@ -115,23 +115,6 @@ def is_symplectic(a: np.ndarray, omega=None) -> bool:
     return bool(np.max(np.abs(a.T @ omega @ a - omega)) < tol * max(1.0, np.max(np.abs(a)) ** 2))
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2:
-            raise IndexError_("need a square 2k x 2k matrix")
-        if not is_symplectic(a):
-            raise IndexError_("matrix is not symplectic within tolerance")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def k(self):
-        return self.entries.shape[0] // 2
-
-
 class LagrangianFrame:
     """2k x k frame whose columns span a Lagrangian subspace."""
 
@@ -271,15 +254,6 @@ class MatrixPath:
     def sampling_hint(self) -> float:
         """Total rotation-like content of the path, used to size the sample grid."""
         return sum(np.linalg.norm(s, 2) * d for s, d in self.segments) / max(self.total, 1e-12)
-
-    def reparametrized(self, weights):
-        """Same image path traversed with new positive segment durations.
-
-        Generators are rescaled by old/new duration, so every segment's
-        exponential (and hence each index) is unchanged.
-        """
-        return MatrixPath(self.k, [(s * (d / w), w)
-                                   for (s, d), w in zip(self.segments, weights)])
 
     def conjugate(self, b: np.ndarray) -> "MatrixPath":
         """The path {B A_t B^{-1}} for symplectic B, again piecewise exponential."""

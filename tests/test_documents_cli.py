@@ -19,6 +19,7 @@ from rigidkit.corpus import random_decorated_complex, random_general_position_pa
 from rigidkit.documents import (
     MAX_HULL_COST,
     MAX_PL_COST,
+    MAX_RING_COST,
     MAX_RING_RANK,
     DocumentError,
     dumps_document,
@@ -261,6 +262,44 @@ class TestRingRankLimit:
                      "cpn3-q", "cpn4-q", "s2", "quadric", "t2"):
             alg = load_document(f"builtin:{name}", "ring")
             assert ring_from_doc(ring_to_doc(alg)) == alg
+
+
+def dense_ring_doc(alg):
+    """alg's document with every table entry replaced by a term 1 at each
+    class of matching degree parity, at the q-power the grading asks for."""
+    doc = ring_to_doc(alg)
+    deg, n2, r = alg.basis.degrees, alg.basis.dimension_2n, alg.rank
+    doc["table"] = [
+        {"i": i, "j": j, "terms": [{"k": k, "qpow": (deg[i] + deg[j] - n2 - deg[k]) // 2,
+                                    "scalar": "1"}
+                                   for k in range(r) if (deg[i] + deg[j] - deg[k]) % 2 == 0]}
+        for i in range(r) for j in range(i, r)]
+    return doc
+
+
+class TestRingCostLimit:
+    cli = TestHullCostLimit.cli
+
+    def test_dense_table_exits_2_fast(self, tmp_path):
+        # rank 16 is under MAX_RING_RANK, but 136 entries x 16 classes x 256
+        # row terms is far over MAX_RING_COST
+        doc = dense_ring_doc(ring_power("cpn3-q", "cpn3-q"))
+        code, rep, elapsed = self.cli(tmp_path, doc, "ring", "{doc}", "--check-axioms")
+        assert code == 2 and elapsed < 1.0
+        message = rep["results"]["error"]
+        assert "costs 557056" in message and str(MAX_RING_COST) in message
+
+    def test_every_product_of_two_builtins_loads(self):
+        # five spheres, the costliest product of built-ins (16 896), loads in
+        # TestRingRankLimit; these are the products the benchmark round-trips
+        names = ("cpn1-f2", "cpn2-f2", "cpn3-f2", "cpn4-f2", "cpn1-q", "cpn2-q",
+                 "cpn3-q", "cpn4-q", "s2", "quadric", "t2")
+        algs = [builtin_algebra(n) for n in names]
+        for a in algs:
+            for b in algs:
+                if a.field == b.field and a.rank * b.rank <= 16:
+                    prod = kunneth(a, b)
+                    assert ring_from_doc(ring_to_doc(prod)) == prod
 
 
 @pytest.mark.parametrize("n", ["0", "-1", "5", "600"])

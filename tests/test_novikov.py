@@ -1,10 +1,14 @@
+import math
 import random
 from fractions import Fraction as Fr
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_novikov as oracle
+from fraction_novikov import FractionScalar
 from rigidkit.novikov import (
     F2,
     NEG_INF,
@@ -13,10 +17,8 @@ from rigidkit.novikov import (
     LambdaElement,
     NovikovScalar,
     PeriodGroup,
-    _poly_add,
+    _on_lattice,
     _poly_gcd_reduce,
-    _poly_mul,
-    _poly_neg,
     group_sum,
     parse_scalar,
 )
@@ -24,6 +26,11 @@ from rigidkit.novikov import (
 
 def sc(terms, field=QMODEL):
     return NovikovScalar.from_terms(field, terms)
+
+
+def exponent_keyed(x):
+    """num and den of x keyed by Fraction exponents, as the oracle stores them."""
+    return tuple({Fr(e, x.delta): c for e, c in p.items()} for p in (x.num, x.den))
 
 
 def series_product_oracle(x, y, depth=12):
@@ -179,9 +186,11 @@ def test_monomial_denominator_needs_no_gcd(field):
         num = {e: 1 if field == F2 else Fr(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 3))
                for e in rng.sample(exponents, rng.randint(5, 8))}
         den = {Fr(rng.randint(-6, 6), rng.choice((1, 2, 5))): 1 if field == F2 else Fr(rng.randint(1, 7))}
-        assert _poly_gcd_reduce(field, num, den) == (num, den)
+        n, d, delta = _on_lattice(num, den)
+        assert _poly_gcd_reduce(field, n, d) == (n, d)
         x = NovikovScalar(field, num, den)
-        assert x == NovikovScalar(field, *_poly_gcd_reduce(field, num, den))
+        assert x == NovikovScalar(field, *({Fr(e, delta): c for e, c in p.items()}
+                                           for p in _poly_gcd_reduce(field, n, d)))
 
 
 def small_scalar(rng, field, d, nonzero=False):
@@ -195,8 +204,15 @@ def small_scalar(rng, field, d, nonzero=False):
 
 
 def same_scalar(got, want):
-    assert (got.num, got.den) == (want.num, want.den)
+    assert (got.num, got.den, got.delta) == (want.num, want.den, want.delta)
     assert got.to_text() == want.to_text() and hash(got) == hash(want)
+
+
+def same_as_oracle(got, want):
+    """got (int keys over 1/delta) is want (Fraction keys) term for term."""
+    assert exponent_keyed(got) == (want.num, want.den)
+    assert got.to_text() == want.to_text()
+    assert got.delta >= 1 and math.gcd(got.delta, *got.num, *got.den) == 1
 
 
 @pytest.mark.parametrize("field", [QMODEL, F2])
@@ -204,23 +220,29 @@ def test_arithmetic_matches_the_public_constructor(field):
     # every arithmetic result equals the validated constructor applied to
     # the raw polynomial result: one canonical form, whichever path built it
     rng = random.Random(f"oracle/{field}")
-    mul = lambda a, b: _poly_mul(field, a, b)
+    mul = lambda a, b: oracle._poly_mul(field, a, b)
+    add = lambda a, b: oracle._poly_add(field, a, b)
+    neg = lambda a: oracle._poly_neg(field, a)
     for _ in range(200):
         d = rng.randint(1, 3)
         x, y = small_scalar(rng, field, d), small_scalar(rng, field, d, nonzero=True)
-        same_scalar(x + y, NovikovScalar(field, _poly_add(field, mul(x.num, y.den),
-                                                          mul(y.num, x.den)), mul(x.den, y.den)))
-        same_scalar(x - y, NovikovScalar(
-            field, _poly_add(field, mul(x.num, y.den), _poly_neg(field, mul(y.num, x.den))),
-            mul(x.den, y.den)))
+        (xn, xd), (yn, yd) = exponent_keyed(x), exponent_keyed(y)
+        same_scalar(x + y, NovikovScalar(field, add(mul(xn, yd), mul(yn, xd)), mul(xd, yd)))
+        same_scalar(x - y, NovikovScalar(field, add(mul(xn, yd), neg(mul(yn, xd))),
+                                         mul(xd, yd)))
         same_scalar(x - y, x + (-y))
-        same_scalar(x * y, NovikovScalar(field, mul(x.num, y.num), mul(x.den, y.den)))
-        same_scalar(x / y, NovikovScalar(field, mul(x.num, y.den), mul(x.den, y.num)))
-        same_scalar(-y, NovikovScalar(field, _poly_neg(field, y.num), y.den))
-        same_scalar(y.inverse(), NovikovScalar(field, y.den, y.num))
+        same_scalar(x * y, NovikovScalar(field, mul(xn, yn), mul(xd, yd)))
+        same_scalar(x / y, NovikovScalar(field, mul(xn, yd), mul(xd, yn)))
+        same_scalar(-y, NovikovScalar(field, neg(yn), yd))
+        same_scalar(y.inverse(), NovikovScalar(field, yd, yn))
         k = rng.choice([-2, 2])
-        num, den = (y.num, y.den) if k > 0 else (y.den, y.num)
+        num, den = (yn, yd) if k > 0 else (yd, yn)
         same_scalar(y ** k, NovikovScalar(field, mul(num, num), mul(den, den)))
+        # and the Fraction-keyed class computes the same scalars
+        X, Y = FractionScalar(field, xn, xd), FractionScalar(field, yn, yd)
+        for got, want in ((x + y, X + Y), (x - y, X - Y), (x * y, X * Y), (x / y, X / Y),
+                          (-y, -Y), (y.inverse(), Y.inverse()), (y ** k, Y ** k)):
+            same_as_oracle(got, want)
 
 
 @pytest.mark.parametrize("field", [QMODEL, F2])
@@ -243,12 +265,92 @@ def test_expansion_over_a_monomial_denominator_is_num_over_den(field):
     assert y.expand(10) == {Fr(-3, 2): 1, -55: 1, -305: 1}
     rng = random.Random(f"monomial/{field}")
     for _ in range(60):
-        num = small_scalar(rng, field, rng.randint(1, 3), nonzero=True).num
+        num = exponent_keyed(small_scalar(rng, field, rng.randint(1, 3), nonzero=True))[0]
         e = Fr(rng.randint(-12, 12), rng.randint(1, 3))
         c = 1 if field == F2 else rng.choice([2, -3])
         want = sorted(((k - e, Fr(v) / c) for k, v in num.items()), reverse=True)
         for n in (1, 3, 10):
             assert NovikovScalar(field, num, {e: c}).expand(n) == dict(want[:n])
+
+
+@pytest.mark.parametrize("field", [QMODEL, F2])
+def test_half_steps_multiply_to_a_whole_step(field):
+    h = NovikovScalar.monomial(field, 1, Fr(1, 2))
+    assert h.delta == 2 and h.num == {1: 1}
+    got, want = h * h, NovikovScalar.monomial(field, 1, 1)
+    assert got == want and (got.num, got.den, got.delta) == ({1: 1}, {0: 1}, 1)
+    assert hash(got) == hash(want) and got.to_text() == want.to_text() == "1*s^(1)"
+
+
+@pytest.mark.parametrize("field", [QMODEL, F2])
+def test_a_cancelled_third_step_leaves_the_half_step(field):
+    h, t = NovikovScalar.monomial(field, 1, Fr(1, 2)), NovikovScalar.monomial(field, 1, Fr(1, 3))
+    assert (h + t).delta == 6
+    got = (h + t) - t
+    assert got.delta == 2 and got == h and hash(got) == hash(h)
+    assert got.to_text() == h.to_text() == "1*s^(1/2)"
+
+
+def mixed_step_scalar(rng, field, nonzero=False):
+    """num and den with exponents in (1/d)Z for a d drawn from 1, 2, 3, 6."""
+    def terms(lo, d):
+        exps = {Fr(rng.randint(-2 * d, 2 * d), d) for _ in range(rng.randint(lo, 3))}
+        return {e: 1 if field == F2 else Fr(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                for e in exps}
+    return terms(1 if nonzero else 0, rng.choice((2, 3, 6))), terms(1, rng.choice((1, 2, 3, 6)))
+
+
+@pytest.mark.parametrize("field", [QMODEL, F2])
+def test_mixed_steps_match_the_fraction_oracle(field):
+    rng = random.Random(f"steps/{field}")
+    groups = (PeriodGroup(Fr(1, 6)), PeriodGroup(Fr(1, 4)), PeriodGroup.trivial())
+    steps = set()
+    for _ in range(60):
+        xt, yt = mixed_step_scalar(rng, field), mixed_step_scalar(rng, field, nonzero=True)
+        x, y = NovikovScalar(field, *xt), NovikovScalar(field, *yt)
+        X, Y = FractionScalar(field, *xt), FractionScalar(field, *yt)
+        for got, want in ((x, X), (y, Y), (x + y, X + Y), (x - y, X - Y), (x * y, X * Y),
+                          (x / y, X / Y), (y.inverse(), Y.inverse())):
+            same_as_oracle(got, want)
+            steps.add(got.delta)
+            # equal values hash equal, whichever step built them
+            rebuilt = NovikovScalar(field, *exponent_keyed(got))
+            assert rebuilt == got and hash(rebuilt) == hash(got)
+            assert got.valuation() == want.valuation()
+            assert got.expand_to(Fr(-1, 2)) == want.expand_to(Fr(-1, 2))
+            assert got.free_term() == want.free_term()
+            for g in groups:
+                assert got.exponents_in(g) == want.exponents_in(g)
+        # the oracle's truncated expansion is slow: check it on the quotient
+        assert (x / y).expand(3) == (X / Y).expand(3)
+    assert {1, 2, 3, 6} <= steps
+
+
+def as_sympy(terms, t, step):
+    """sum c*s^e over Q as a Laurent polynomial in t = s^(1/step)."""
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * t ** int(e * step)
+                       for e, c in terms.items()))
+
+
+def test_arithmetic_against_sympy_canonical_forms():
+    # over Q with t = s^(1/6): sympy's cancelled form of each result has the
+    # same value, and the scalar's num and den share no factor
+    rng = random.Random("sympy")
+    t = sympy.Symbol("t")
+    for _ in range(40):
+        xt, yt = mixed_step_scalar(rng, QMODEL), mixed_step_scalar(rng, QMODEL, nonzero=True)
+        x, y = NovikovScalar(QMODEL, *xt), NovikovScalar(QMODEL, *yt)
+        xs = as_sympy(xt[0], t, 6) / as_sympy(xt[1], t, 6)
+        ys = as_sympy(yt[0], t, 6) / as_sympy(yt[1], t, 6)
+        for got, want in ((x + y, xs + ys), (x - y, xs - ys), (x * y, xs * ys), (x / y, xs / ys)):
+            num, den = (as_sympy(p, t, 6) for p in exponent_keyed(got))
+            assert sympy.cancel(num / den - want) == 0
+            if num != 0:
+                # both are polynomials in t: den has lowest term t^0, num may
+                # need a power of t, which is a unit of the Laurent ring
+                low = min(min(got.num), 0)
+                gcd = sympy.gcd(sympy.expand(num * t ** (-low * 6 // got.delta)), den)
+                assert sympy.Poly(gcd, t).degree() == 0
 
 
 class TestPeriodGroup:

@@ -47,8 +47,11 @@ class TestPLFunction:
         vals = [2 * v[0] + 3 * v[1] + Fr(1, 5) for v in verts]
         f = pl(mesh, vals)
         for pt in [(0, 0), (Fr(1, 10), Fr(1, 10)), (Fr(-1, 5), Fr(1, 7))]:
-            if f.domain_contains(pt):
-                assert f.evaluate(pt) == 2 * pt[0] + 3 * pt[1] + Fr(1, 5)
+            try:
+                value = f.evaluate(pt)
+            except QStateError:
+                continue  # outside the triangulated domain
+            assert value == 2 * pt[0] + 3 * pt[1] + Fr(1, 5)
 
     def test_outside_domain_errors(self, mesh):
         f = pl(mesh, [0] * len(mesh[0]))
