@@ -116,7 +116,6 @@ class DecoratedComplex:
                     col[int(i)] = sc
             cols.append(col)
         self.diff = tuple(cols)
-        self._spectral = None
         if check:
             bad = validate(self)
             if bad:

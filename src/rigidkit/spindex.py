@@ -20,24 +20,29 @@ Lagrangian frame: Ind(A, V) is the orbit of V against V, the Conley-Zehnder
 index the orbit of the diagonal under {I (+) A_t} (the graph path) against
 the diagonal.  Tolerances are DEFAULT_TOLS.  The path classes (MatrixPath,
 ProductPath, RotatedPath, DoubledPath and the doubled-space RotatedPath
-_DoubledRotated) share one duck-typed protocol: k, values(ts), value(t),
-derivative(t) and sampling_hint(), which sizes the first sample grid; no
-function here dispatches on the path class.
+_DoubledRotated) share one duck-typed protocol: k, act(ts, x), values(ts),
+value(t), derivative(t) and sampling_hint(), which sizes the first sample
+grid; no function here dispatches on the path class.
 
 Crossings are located on sample grids of a normalized determinant.
-rs_index builds the fixed basis [V | complement of V] once, and every grid
-level and every crossing form of the index uses it.  A grid is evaluated
-in blocks of _GRID_BLOCK samples: the paths return their values at a
-whole block as one stacked (N, n, n) array, and the frames of the block
-are solved against that basis in one stacked solve and one stacked
-determinant.  Sign
-changes are refined by bisection and dips by golden-section search, in
+rs_index inverts the fixed basis [V | complement of V] once, and every grid
+level and every crossing form of the index reads coordinates in that basis
+through the one inverse.  A grid is evaluated in blocks of _GRID_BLOCK
+samples.  The paths act on the frame: act(ts, x) returns A_t @ x for every t
+of a block as one stacked array, so only (n, k) frames travel along the
+path, never (n, n) path values, and a segment exp(t M) acts through its
+cached eigendecomposition as v @ (exp(t w) * (v^-1 @ x)).  One stacked
+product with the inverse and one stacked determinant then give the block's
+indicators; nothing is factorized per sample.
+
+Sign changes are refined by bisection and dips by golden-section search, in
 stacked rounds: the points either search visits next depend only on which
 side each step keeps, so each round evaluates the next _SPEC_DEPTH levels
 of every search's branch tree in one stacked call, and the searches then
 step through exactly the values they would have read one at a time.  The
 stacked values equal the one-sample values bit for bit, so every crossing
-is the same float either way.
+is the same float either way; a frame at one t is frames([t])[0] for the
+same reason, so the crossing forms read the grid's arithmetic.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ DEFAULT_TOLS = {
     "det_zero": 1e-10,     # normalized determinant zero threshold
 }
 
-# samples per stacked solve/det in the crossing search: bounds the memory
+# samples per stacked evaluation in the crossing search: bounds the memory
 # of one evaluation independently of the grid size; the first two grid
 # levels of most paths (257 + 530 samples) fit in one block
 _GRID_BLOCK = 1024
@@ -176,16 +181,14 @@ class _SegmentExp:
         except np.linalg.LinAlgError:
             pass
 
-    def at(self, t):
-        return self.at_many(np.array([t]))[0]
-
-    def at_many(self, ts):
-        """exp(t M) for every t in ts, stacked as an (N, n, n) array."""
+    def act(self, ts, x):
+        """exp(t M) @ x for every t in ts, stacked as an (N, n, m) array; x
+        is one (n, m) array or a stack of N of them."""
         ts = np.asarray(ts, dtype=float)
         if self._ok:
-            scale = np.exp(np.multiply.outer(ts, self.w))[:, None, :]
-            return ((self.v * scale) @ self.vinv).real
-        return np.stack([expm(self.m * t) for t in ts])
+            scale = np.exp(np.multiply.outer(ts, self.w))[:, :, None]
+            return (self.v @ (scale * (self.vinv @ x))).real
+        return np.stack([expm(self.m * t) for t in ts]) @ x
 
 
 class MatrixPath:
@@ -220,7 +223,7 @@ class MatrixPath:
         # segment starts (offsets) and ends
         self._starts = [np.eye(2 * self.k)]
         for (s, d), ex in zip(segs, self._exps):
-            self._starts.append(ex.at(d) @ self._starts[-1])
+            self._starts.append(ex.act([d], self._starts[-1])[0])
         ends = list(accumulate(d for _, d in segs))
         self._ends, self._offsets = np.array(ends), np.array([0.0] + ends[:-1])
 
@@ -230,15 +233,21 @@ class MatrixPath:
         t = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0) * self.total
         return t, np.minimum(np.searchsorted(self._ends, t), len(self.segments) - 1)
 
-    def values(self, ts) -> np.ndarray:
-        """Path values at every t in ts, stacked as an (N, 2k, 2k) array."""
+    def act(self, ts, x) -> np.ndarray:
+        """A_t @ x for every t in ts, stacked as an (N, 2k, m) array; x is one
+        (2k, m) array or a stack of N of them."""
         t, seg = self._clock(ts)
-        out = np.empty((len(t), 2 * self.k, 2 * self.k))
+        out = np.empty((len(t),) + x.shape[-2:])
         for i, ex in enumerate(self._exps):
             sel = seg == i
             if sel.any():
-                out[sel] = ex.at_many(t[sel] - self._offsets[i]) @ self._starts[i]
+                xi = x if x.ndim == 2 else x[sel]
+                out[sel] = ex.act(t[sel] - self._offsets[i], self._starts[i] @ xi)
         return out
+
+    def values(self, ts) -> np.ndarray:
+        """Path values at every t in ts, stacked as an (N, 2k, 2k) array."""
+        return self.act(ts, np.eye(2 * self.k))
 
     def value(self, t) -> np.ndarray:
         return self.values(np.array([t]))[0]
@@ -274,8 +283,11 @@ class ProductPath:
         self.k = a.k
         self.a, self.b = a, b
 
+    def act(self, ts, x):
+        return self.a.act(ts, self.b.act(ts, x))
+
     def values(self, ts):
-        return self.a.values(ts) @ self.b.values(ts)
+        return self.act(ts, np.eye(2 * self.k))
 
     def value(self, t):
         return self.values(np.array([t]))[0]
@@ -302,14 +314,17 @@ class RotatedPath:
         self._j = j_matrix(self.k) if j is None else j
         self._exp = _SegmentExp(self._j * self.delta)
 
+    def act(self, ts, x):
+        return self._exp.act(ts, self.base.act(ts, x))
+
     def values(self, ts):
-        return self._exp.at_many(ts) @ self.base.values(ts)
+        return self.act(ts, np.eye(2 * self.k))
 
     def value(self, t):
         return self.values(np.array([t]))[0]
 
     def derivative(self, t):
-        r = self._exp.at(t)
+        r = self._exp.act([t], np.eye(2 * self.k))[0]
         return (self._j * self.delta) @ r @ self.base.value(t) + r @ self.base.derivative(t)
 
     def sampling_hint(self):
@@ -324,13 +339,18 @@ class DoubledPath:
         self.base = base
         self.k = 2 * base.k
 
-    def values(self, ts):
-        a = self.base.values(ts)
-        n = a.shape[1]
-        out = np.zeros((len(a), 2 * n, 2 * n))
-        out[:, :n, :n] = np.eye(n)
-        out[:, n:, n:] = a
+    def act(self, ts, x):
+        """[x_top; A_t x_bottom]: the identity block leaves the top half of x
+        as it is."""
+        n = self.k
+        bottom = self.base.act(ts, x[..., n:, :])
+        out = np.empty((len(bottom), 2 * n, x.shape[-1]))
+        out[:, :n] = x[..., :n, :]
+        out[:, n:] = bottom
         return out
+
+    def values(self, ts):
+        return self.act(ts, np.eye(2 * self.k))
 
     def value(self, t):
         return self.values(np.array([t]))[0]
@@ -369,14 +389,14 @@ class FrameIsotopy:
         self.omega = frame.omega
 
     def frame(self, t) -> np.ndarray:
-        return self.path.value(t) @ self.columns
+        return self.frames([t])[0]
 
     def dframe(self, t) -> np.ndarray:
         return self.path.derivative(t) @ self.columns
 
     def frames(self, ts) -> np.ndarray:
         """Frames at every t in ts, stacked as an (N, n, k) array."""
-        return self.path.values(np.asarray(ts, dtype=float)) @ self.columns
+        return self.path.act(ts, self.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -391,23 +411,24 @@ class CrossingRecord:
 
 
 def _indicator_basis(v: np.ndarray) -> np.ndarray:
-    """m = [v | w] for a basis w of a complement of span(v)."""
+    """inv([v | w]) for a basis w of a complement of span(v): the map to
+    coordinates in the basis [V | W]."""
     k = v.shape[1]
     q, _ = np.linalg.qr(v, mode="complete")
-    return np.hstack([v, q[:, k:]])
+    return np.linalg.inv(np.hstack([v, q[:, k:]]))
 
 
-def _det_indicators(m: np.ndarray, zs: np.ndarray) -> np.ndarray:
+def _det_indicators(minv: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Normalized determinants whose zeros detect span(z) & span(v) != 0,
-    for a stack zs of (n, k) frames and m = _indicator_basis(v).
+    for a stack zs of (n, k) frames and minv = _indicator_basis(v).
 
-    Solve m c = z; the lower k x k block of c is singular exactly at
-    crossings.  Normalized by the column norms of c, so the value is scale
-    free and small exactly when some combination of the z-columns falls
-    into V.
+    c = minv z holds the coordinates of z in [V | W]; the lower k x k block
+    of c is singular exactly at crossings.  Normalized by the column norms
+    of c, so the value is scale free and small exactly when some
+    combination of the z-columns falls into V.
     """
     k = zs.shape[2]
-    c = np.linalg.solve(m, zs)
+    c = minv @ zs
     d = np.linalg.det(c[:, k:, :])
     denom = np.prod(np.maximum(np.linalg.norm(c, axis=1), 1e-300), axis=1)
     return np.divide(d, denom, out=np.zeros_like(d), where=denom > 0)
@@ -424,16 +445,16 @@ def _kernel_coefficients(beta: np.ndarray) -> np.ndarray:
     return null.T
 
 
-def crossing_form(iso: FrameIsotopy, m: np.ndarray, t0: float):
+def crossing_form(iso: FrameIsotopy, minv: np.ndarray, t0: float):
     """(kernel_dim, signature) of the crossing form at t0 against V, for
-    m = _indicator_basis(V), via the standard derivative formula with
+    minv = _indicator_basis(V), via the standard derivative formula with
     W = J * L(t0) as the complement of L(t0)."""
     tols = DEFAULT_TOLS
     z = iso.frame(t0)
     dz = iso.dframe(t0)
     k = z.shape[1]
     # z @ c spans L(t0) & V
-    c = _kernel_coefficients(np.linalg.solve(m, z)[k:, :])
+    c = _kernel_coefficients((minv @ z)[k:, :])
     kerdim = c.shape[1]
     if not kerdim:
         raise RegularityError("no kernel found at a reported crossing")
@@ -608,17 +629,18 @@ class _GridScan:
         return out
 
 
-def _indicators(iso: FrameIsotopy, m: np.ndarray, ts) -> np.ndarray:
+def _indicators(iso: FrameIsotopy, minv: np.ndarray, ts) -> np.ndarray:
     """Indicator values at every t in ts, in stacked blocks of _GRID_BLOCK."""
     ts = np.asarray(ts, dtype=float)
-    return np.concatenate([_det_indicators(m, iso.frames(ts[i:i + _GRID_BLOCK]))
+    return np.concatenate([_det_indicators(minv, iso.frames(ts[i:i + _GRID_BLOCK]))
                            for i in range(0, len(ts), _GRID_BLOCK)])
 
 
-def _crossing_levels(iso: FrameIsotopy, m: np.ndarray, grids):
+def _crossing_levels(iso: FrameIsotopy, minv: np.ndarray, grids):
     """Crossing parameters in [0, 1] on each of several sample grids of one
-    path, for m = _indicator_basis(V): sign changes of the indicator refined
-    by bisection, tangential touches by golden-section minimization of |f|.
+    path, for minv = _indicator_basis(V): sign changes of the indicator
+    refined by bisection, tangential touches by golden-section minimization
+    of |f|.
 
     The grids are evaluated as one stack and checked for regularity in
     order; then every search of every grid advances in the same stacked
@@ -626,14 +648,14 @@ def _crossing_levels(iso: FrameIsotopy, m: np.ndarray, grids):
     one call, and each search takes the steps whose values it now has.  Each
     search reads exactly the values and takes exactly the steps it would
     take alone."""
-    fs = _indicators(iso, m, np.concatenate(grids))
+    fs = _indicators(iso, minv, np.concatenate(grids))
     bounds = np.cumsum([len(ts) for ts in grids])[:-1]
     scans = [_GridScan(ts, f) for ts, f in zip(grids, np.split(fs, bounds))]
     searches = [s for scan in scans for s in scan.bisections + scan.dips]
     values = {}
     while searches:
         ts = sorted({t for s in searches for t in s.probes()} - values.keys())
-        values.update(zip(ts, _indicators(iso, m, ts)))
+        values.update(zip(ts, _indicators(iso, minv, ts)))
         searches = [s for s in searches if not s.advance(values)]
     return [scan.crossings() for scan in scans]
 
@@ -653,18 +675,18 @@ def rs_index(iso: FrameIsotopy, v: LagrangianFrame, _raw=False):
     (callers retry with a regularization).
     """
     tols = DEFAULT_TOLS
-    m = _indicator_basis(v.columns)
+    minv = _indicator_basis(v.columns)
     n = _samples_for(iso.path.sampling_hint())
     # escalate the sample resolution until two consecutive levels agree on
     # the crossing set; close pairs of crossings are invisible to any fixed
     # grid, so agreement across resolutions is the acceptance test.  Levels
     # 0 and 1 always both run, so they are evaluated and refined together
-    first = _crossing_levels(iso, m, [np.linspace(0.0, 1.0, n + 1),
-                                      np.linspace(0.0, 1.0, 2 * n + 18)])
+    first = _crossing_levels(iso, minv, [np.linspace(0.0, 1.0, n + 1),
+                                         np.linspace(0.0, 1.0, 2 * n + 18)])
     crossings = None
     for level in range(5):
         found = (first[level] if level < 2
-                 else _crossing_levels(iso, m, [np.linspace(0.0, 1.0, n + 1)])[0])
+                 else _crossing_levels(iso, minv, [np.linspace(0.0, 1.0, n + 1)])[0])
         if crossings is not None and len(found) == len(crossings) and all(
                 abs(a - b) < 1e-6 for a, b in zip(found, crossings)):
             break
@@ -676,7 +698,7 @@ def rs_index(iso: FrameIsotopy, v: LagrangianFrame, _raw=False):
     for t in crossings:
         # crossings within eps of an endpoint are evaluated there, at half weight
         end = 0.0 if t <= eps else 1.0 if t >= 1.0 - eps else None
-        kd, sig = crossing_form(iso, m, t if end is None else end)
+        kd, sig = crossing_form(iso, minv, t if end is None else end)
         total += (1.0 if end is None else 0.5) * sig
         records.append(CrossingRecord(float(t), kd, sig, end is not None))
     snapped = round(total * 2) / 2

@@ -30,7 +30,7 @@ from rigidkit.documents import (
     ring_to_doc,
     save_document,
 )
-from rigidkit.novikov import QMODEL
+from rigidkit.novikov import MAX_SCALAR_SPAN, QMODEL, parse_scalar
 from rigidkit.quantum import builtin_algebra, kunneth, projective_space, quadric_surface
 from rigidkit import spindex
 from rigidkit.spindex import LagrangianFrame, MatrixPath, rotation_generator
@@ -300,6 +300,61 @@ class TestRingCostLimit:
                 if a.field == b.field and a.rank * b.rank <= 16:
                     prod = kunneth(a, b)
                     assert ring_from_doc(ring_to_doc(prod)) == prod
+
+
+class TestScalarSpanLimit:
+    cli = TestHullCostLimit.cli
+
+    def test_wide_scalar_in_a_document_exits_2_fast(self, tmp_path):
+        # reducing this scalar ran Euclid on 3e6-long dense lists for ~37 s
+        doc = {"kind": "complex", "base_field": "Q", "gamma_generator": "1",
+               "basis": [{"label": "x0", "parity": 0, "filter": "0"},
+                         {"label": "x1", "parity": 1, "filter": "1"}],
+               "differential": [{"from": "x1", "to": "x0",
+                                 "scalar": "(1 + s^(3000000))/(1 + s^(1))"}]}
+        code, rep, elapsed = self.cli(tmp_path, doc, "complex", "{doc}", "--validate")
+        assert code == 2 and elapsed < 1.0
+        message = rep["results"]["error"]
+        assert "3000000 lattice steps" in message and str(MAX_SCALAR_SPAN) in message
+
+    def test_wide_scalar_on_the_command_line_exits_2_fast(self):
+        buf = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(buf):
+            code = cli_main(["--json", "ring", "builtin:quadric", "--idempotent",
+                             "(1 + s^(1/3000000))/(1 + s^(1))*A"])
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert "3000000 lattice steps" in json.loads(buf.getvalue())["results"]["error"]
+
+    def test_limit_is_exact(self):
+        # the span runs over numerator and denominator together, at the
+        # common step of all their exponents
+        n = MAX_SCALAR_SPAN
+        for text in (f"(1 + s^({n}))/(1 - s^(1))", f"s^(-1/2) + s^({n - 1}/2)",
+                     f"1/(s^(-{n}) + 1)"):
+            assert parse_scalar(QMODEL, text) is not None
+        for text in (f"(1 + s^({n + 1}))/(1 - s^(1))", f"s^(1/{n + 1}) + s^(1)",
+                     f"1/(s^(-{n}) + s^(1))"):
+            with pytest.raises(ValueError, match="over the limit"):
+                parse_scalar(QMODEL, text)
+
+    def test_dense_scalar_at_the_limit_parses_fast(self):
+        # a plain remainder sequence took 94 s on this shape; monic, ~0.5 s
+        rng = random.Random(128)
+
+        def dense(lo, hi):
+            return " + ".join(f"({rng.choice([-5, -3, -1, 1, 2, 4])}/{rng.randint(1, 3)})*s^({e})"
+                              for e in range(lo, hi + 1))
+
+        start = time.perf_counter()
+        parse_scalar(QMODEL, f"({dense(0, MAX_SCALAR_SPAN)})/({dense(1, MAX_SCALAR_SPAN - 1)})")
+        assert time.perf_counter() - start < 5.0
+
+    def test_shipped_documents_load(self):
+        kinds = {"cplx": "complex", "pl": "pl-function"}
+        for name in sorted(os.listdir(DATA)):
+            kind = name.split(".")[-2]
+            assert load_document(data(name), kinds.get(kind, kind)) is not None
 
 
 @pytest.mark.parametrize("n", ["0", "-1", "5", "600"])

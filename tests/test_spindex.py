@@ -442,6 +442,20 @@ class TestBatchedPaths:
                 for t, r in zip(ts, ref):
                     assert_close(path.value(t), r)
 
+    def test_act_matches_values_times_x(self):
+        # every path class, one (n, m) x and a stack of them; the shear
+        # pairs run the expm fallback
+        a, b, shear, const = self.paths()
+        rng = np.random.default_rng(26)
+        for p, q in ((a, shear), (shear, const), (b, b)):
+            ts = np.union1d(sample_times(p), sample_times(q))
+            for path in (p, ProductPath(p, q), RotatedPath(p, 0.37), DoubledPath(p),
+                         spindex._DoubledRotated(DoubledPath(p), 0.37)):
+                n = 2 * path.k
+                values = path.values(ts)
+                for x in (rng.normal(size=(n, path.k)), rng.normal(size=(len(ts), n, 3))):
+                    assert_close(path.act(ts, x), values @ x)
+
     def test_grid_indicator_matches_per_sample_formula(self):
         rng = np.random.default_rng(22)
         ts = np.linspace(-0.1, 1.1, 301)
@@ -638,7 +652,8 @@ def reference_crossing_form(iso, v_frame, t0):
     z = iso.frame(t0)
     dz = iso.dframe(t0)
     k = z.shape[1]
-    beta = np.linalg.solve(spindex._indicator_basis(v_frame), z)[k:, :]
+    q, _ = np.linalg.qr(v_frame, mode="complete")
+    beta = np.linalg.solve(np.hstack([v_frame, q[:, k:]]), z)[k:, :]
     eig_tol = tols["eig_zero"]
     _, sv, vt = np.linalg.svd(beta)
     scale = sv[0] if sv[0] > 0 else 1.0
